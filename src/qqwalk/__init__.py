@@ -51,6 +51,7 @@ from .pathsum import (
     PQWord,
     WORD_CAP,
     decompose_pqrs,
+    path_sum,
     path_sum_bruteforce,
     path_sum_reduced,
     reduce_word,
@@ -73,6 +74,7 @@ from .stationary import (
     effective_phase_cosine,
     quadratic_form_coefficients,
     right_eigen_check,
+    stationary_residual,
     verify_stationary,
 )
 from .verify import SUITES, run_suites
@@ -90,10 +92,10 @@ __all__ = [
     "distribution", "distributions", "hadamard_three_step_distribution",
     "random_unit_pair",
     "PQWord", "PQRSDecomposition", "reduce_word",
-    "path_sum_bruteforce", "path_sum_reduced", "decompose_pqrs",
+    "path_sum", "path_sum_bruteforce", "path_sum_reduced", "decompose_pqrs",
     "EigenCandidate", "right_eigen_check",
     "build_eigenstate_flip", "build_eigenstate_flipneg",
-    "verify_stationary", "check_two_step_uniformity",
+    "stationary_residual", "verify_stationary", "check_two_step_uniformity",
     "TwoStepUniformityReport", "MeasureClass", "classify_measure",
     "PolarInitialState", "effective_phase_cosine", "complexify_initial_state",
     "quadratic_form_coefficients",

@@ -5,7 +5,7 @@ for one step split), ``verify`` (seeded verification suites), ``classify``
 (measure classification), ``eigen-check`` (right-eigenpair residuals).
 
 Exit codes: 0 success, 1 verification failure, 2 config/parse error,
-3 non-unitary coin, 4 enumeration cap exceeded.
+3 non-unitary coin, 4 enumeration cap exceeded (``xi --mode brute|reduced``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .coin import NotUnitaryError, coin_from_spec
 from .pathsum import (
     CapExceededError,
     decompose_pqrs,
+    path_sum,
     path_sum_bruteforce,
     path_sum_reduced,
 )
@@ -35,14 +36,6 @@ EXIT_NOT_UNITARY = 3
 EXIT_CAP = 4
 
 
-def _default_seed() -> int:
-    """Seed from QQWALK_SEED when set; CLI flags override it."""
-    try:
-        return int(os.environ.get("QQWALK_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 @dataclass
 class RunConfig:
     """Resolved settings for a walk run (flags override config-file values)."""
@@ -51,8 +44,6 @@ class RunConfig:
     init: str = "1,0"
     steps: int = 0
     output: str = "csv"
-    seed: int = 0
-    tolerance: float = DEFAULT_TOL
 
 
 def _parse_spinor(text: str) -> tuple[Quaternion, Quaternion]:
@@ -89,8 +80,7 @@ def _resolve_run_config(args) -> RunConfig:
             raise ValueError("config file must hold a JSON object")
         values.update(loaded)
     for key, flag in (("coin", args.coin), ("init", args.init),
-                      ("steps", args.steps), ("output", args.format),
-                      ("seed", args.seed), ("tolerance", args.tol)):
+                      ("steps", args.steps), ("output", args.format)):
         if flag is not None:
             values[key] = flag
     if "coin" not in values:
@@ -98,11 +88,8 @@ def _resolve_run_config(args) -> RunConfig:
     cfg = RunConfig(**{k: v for k, v in values.items()
                        if k in RunConfig.__dataclass_fields__})
     cfg.steps = int(cfg.steps)
-    cfg.tolerance = float(cfg.tolerance)
     if cfg.steps < 0:
         raise ValueError("steps must be >= 0")
-    if cfg.tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     if cfg.output not in ("csv", "json"):
         raise ValueError("output format must be csv or json")
     return cfg
@@ -127,20 +114,24 @@ def _cmd_dist(args) -> int:
 
 def _cmd_xi(args) -> int:
     coin = coin_from_spec(args.coin)
-    if args.mode == "brute":
-        matrix = path_sum_bruteforce(coin, args.n, args.l, args.m)
-        print(json.dumps(matrix.to_json()))
-    elif args.mode == "reduced":
-        matrix = path_sum_reduced(coin, args.n, args.l, args.m)
-        print(json.dumps(matrix.to_json()))
-    else:
-        matrix = path_sum_reduced(coin, args.n, args.l, args.m)
+    if args.mode == "decompose":
+        matrix = path_sum(coin, args.n, args.l, args.m)
         print(json.dumps(decompose_pqrs(coin, matrix, args.tol).to_json()))
+    else:
+        evaluate = path_sum_bruteforce if args.mode == "brute" else path_sum_reduced
+        print(json.dumps(evaluate(coin, args.n, args.l, args.m).to_json()))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suites(args.suite, seed=args.seed, tol=args.tol)
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("QQWALK_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"QQWALK_SEED must be an integer, got {text!r}") from None
+    reports = run_suites(args.suite, seed=seed, tol=args.tol)
     for report in reports:
         print(json.dumps(report))
     return EXIT_OK if all(r["pass"] for r in reports) else EXIT_VERIFY_FAIL
@@ -179,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--init", help="initial spinor 'alpha,beta' or JSON pair")
     dist.add_argument("--steps", type=int, help="number of steps (default 0)")
     dist.add_argument("--format", choices=("csv", "json"), help="output format")
-    dist.add_argument("--seed", type=int, help="recorded in the run config")
-    dist.add_argument("--tol", type=float, help="tolerance for validation")
     dist.add_argument("--config", help="JSON config file (flags override it)")
     dist.set_defaults(handler=_cmd_dist)
 
@@ -198,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all",
                         choices=("all", "unitary", "pqrs", "stationary",
                                  "eigen", "theorem1"))
-    verify.add_argument("--seed", type=int, default=_default_seed())
+    verify.add_argument("--seed", type=int,
+                        help="suite seed (default: QQWALK_SEED, else 0)")
     verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.set_defaults(handler=_cmd_verify)
 

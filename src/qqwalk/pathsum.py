@@ -3,7 +3,9 @@
 The amplitude a point-started walker carries to site ``m - l`` after
 ``n = l + m`` steps is the sum, over every arrangement of ``l`` copies of
 P and ``m`` copies of Q, of the corresponding operator word applied to the
-initial spinor.  Two evaluation routes are provided:
+initial spinor, which is what the walk itself computes: :func:`path_sum`
+runs the walk from the two unit spinors, at O(n^2) quaternion products
+for any n.  Two capped reference oracles enumerate all 2^n words instead:
 
 * brute force: multiply each word out as 2x2 quaternion matrices;
 * reduced: fold each word through the closed product table, which
@@ -17,10 +19,12 @@ the P positions), so sums are bit-stable across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .coin import Coin, PRODUCT_RULES, QMatrix2
-from .quaternion import DEFAULT_TOL, Quaternion
+from .quaternion import DEFAULT_TOL, ONE, ZERO, Quaternion
+from .walk import FiniteSupportState
 
 #: Largest step count enumerated exhaustively (2^n words).
 WORD_CAP = 20
@@ -108,7 +112,7 @@ def reduce_word(coin: Coin, word: PQWord) -> tuple[Quaternion, str]:
     return _reduce_letters(coin, word.letters())
 
 
-def _check_split(n: int, l: int, m: int, cap: int) -> None:
+def _check_split(n: int, l: int, m: int, cap: float = math.inf) -> None:
     if l < 0 or m < 0 or l + m != n:
         raise InvalidSplitError(f"need l + m = n with l, m >= 0; got n={n}, l={l}, m={m}")
     if n > cap:
@@ -123,6 +127,21 @@ def _words(n: int, l: int):
         for pos in positions:
             word[pos] = "P"
         yield word
+
+
+def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
+    """Same sum as :func:`path_sum_bruteforce`, by propagation, for any n.
+
+    The walk from a spinor psi carries ``Xi_n(l, m) psi`` to site ``m - l``
+    after n steps, so column j of the sum is that amplitude for the walk
+    started from the j-th unit spinor.
+    """
+    _check_split(n, l, m)
+    walks = [FiniteSupportState.delta(spinor) for spinor in ((ONE, ZERO), (ZERO, ONE))]
+    for _ in range(n):
+        walks = [state.evolve(coin) for state in walks]
+    (e11, e21), (e12, e22) = (state.amplitude(m - l) for state in walks)
+    return QMatrix2(e11, e12, e21, e22)
 
 
 def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int,

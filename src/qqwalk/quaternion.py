@@ -18,6 +18,17 @@ import re
 DEFAULT_TOL = 1e-10
 
 
+def max_or_nan(values) -> float:
+    """``max(values, default=0.0)`` of nonnegative values, or NaN if any is NaN.
+
+    ``max(0.0, nan)`` is 0.0, which would let a NaN deviation pass a
+    ``<= tol`` check; a sum of nonnegative values is NaN iff one of them is.
+    """
+    values = list(values)
+    total = sum(values)
+    return max(values, default=0.0) if total == total else total
+
+
 class NotUnitError(ValueError):
     """Inverse requested for a quaternion whose modulus is not 1."""
 

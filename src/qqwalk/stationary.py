@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from statistics import linear_regression
 
 from .coin import Coin
-from .pathsum import path_sum_reduced
-from .quaternion import DEFAULT_TOL, Quaternion
+from .pathsum import path_sum
+from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
 from .walk import Measure, NotNormalizedError, PeriodicState, WalkState
 
 #: Residual tolerance for the exponential-profile least-squares fit.
@@ -60,23 +60,16 @@ def right_eigen_check(coin: Coin, candidate: EigenCandidate,
                       tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Verify ``E(psi) = psi * lambda`` sitewise over one period.
 
-    Componentwise this demands, at every site x,
-    ``psiL(x) lambda = a psiL(x+1) + b psiR(x+1)`` and
-    ``psiR(x) lambda = c psiL(x-1) + d psiR(x-1)``.
+    ``E`` is one step of the walk, :meth:`PeriodicState.evolve`.
 
-    Returns (passed, max residual).
+    Returns (passed, max residual); a NaN residual fails.
     """
     lam = candidate.eigenvalue
     state = candidate.state
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    worst = 0.0
-    for x in range(state.period):
-        left, right = state.amplitude(x)
-        up_left, up_right = state.amplitude(x + 1)
-        down_left, down_right = state.amplitude(x - 1)
-        res_left = (left * lam).max_dev(a * up_left + b * up_right)
-        res_right = (right * lam).max_dev(c * down_left + d * down_right)
-        worst = max(worst, res_left, res_right)
+    evolved = state.evolve(coin)
+    worst = max_or_nan(got.max_dev(amp * lam)
+                       for pairs in zip(evolved.pairs, state.pairs)
+                       for got, amp in zip(*pairs))
     return worst <= tol, worst
 
 
@@ -141,18 +134,22 @@ def build_eigenstate_flipneg(eigenvalue: Quaternion, coeffs) -> EigenCandidate:
     return EigenCandidate(PeriodicState(sites), eigenvalue)
 
 
-def verify_stationary(coin: Coin, state: WalkState, n_max: int,
-                      tol: float = DEFAULT_TOL) -> bool:
-    """True iff the site measure is unchanged for every step 1..n_max."""
+def stationary_residual(coin: Coin, state: WalkState, n_max: int) -> float:
+    """Worst sitewise measure deviation from ``state`` over steps 1..n_max, or NaN."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     reference = state.measure()
-    current = state
+    deviations = []
     for _ in range(n_max):
-        current = current.evolve(coin)
-        if not current.measure().approx_eq(reference, tol):
-            return False
-    return True
+        state = state.evolve(coin)
+        deviations.append(state.measure().max_dev(reference))
+    return max_or_nan(deviations)
+
+
+def verify_stationary(coin: Coin, state: WalkState, n_max: int,
+                      tol: float = DEFAULT_TOL) -> bool:
+    """True iff the site measure is unchanged for every step 1..n_max."""
+    return stationary_residual(coin, state, n_max) <= tol
 
 
 @dataclass(frozen=True)
@@ -181,15 +178,9 @@ def check_two_step_uniformity(coin: Coin, state: PeriodicState,
     """
     if coin.case(tol) != "b=0":
         raise WrongCoinClassError("two-step uniformity check needs a b=0 coin")
-    reference = state.measure()
-    invariant = True
-    current = state
-    for _ in range(2):
-        current = current.evolve(coin)
-        if not current.measure().approx_eq(reference, tol):
-            invariant = False
-            break
-    uniform = (max(reference.values) - min(reference.values)) <= tol
+    invariant = verify_stationary(coin, state, 2, tol)
+    values = state.measure().values
+    uniform = (max(values) - min(values)) <= tol
     return TwoStepUniformityReport(measure_invariant=invariant,
                                    measure_uniform=uniform)
 
@@ -251,6 +242,8 @@ def classify_measure(mu: Measure, window: int = 8,
     are never exponential by construction.  Symmetry is an independent
     flag checked across the window and the full represented support.
     """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     if mu.periodic:
         lo = min(mu.values)
         hi = max(mu.values)
@@ -378,7 +371,7 @@ def quadratic_form_coefficients(coin: Coin, n: int, l: int, m: int,
     """
     if not coin.is_real(tol):
         raise NotRealCoinError("quadratic form coefficients require a real coin")
-    xi = path_sum_reduced(coin, n, l, m)
+    xi = path_sum(coin, n, l, m)
     r11, r12 = xi.e11.w, xi.e12.w
     r21, r22 = xi.e21.w, xi.e22.w
     a_coef = r11 * r11 + r21 * r21

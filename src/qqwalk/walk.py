@@ -14,8 +14,10 @@ from the left.
 
 from __future__ import annotations
 
+import math
+
 from .coin import Coin
-from .quaternion import DEFAULT_TOL, Quaternion
+from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
 
 #: Tolerance on | |alpha|^2 + |beta|^2 - 1 | for initial spinors.
 NORM_TOL = 1e-9
@@ -44,6 +46,17 @@ def _coerce_pairs(pairs) -> tuple[AmplitudePair, ...]:
     return tuple(out)
 
 
+def _coin_rows(coin: Coin, pairs) -> tuple[list[Quaternion], list[Quaternion]]:
+    """The moved rows ``a psiL + b psiR`` and ``c psiL + d psiR`` of every pair.
+
+    Site i of the first row moves one site left and site i of the second
+    one site right; the caller places them for its boundary.
+    """
+    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    return ([a * l + b * r for l, r in pairs],
+            [c * l + d * r for l, r in pairs])
+
+
 class FiniteSupportState:
     """Amplitudes on a dense window ``[offset, offset + len)``; zero outside."""
 
@@ -69,26 +82,9 @@ class FiniteSupportState:
 
     def evolve(self, coin: Coin) -> "FiniteSupportState":
         """One time step; the support grows by one site on each end."""
-        a, b = coin.a, coin.b
-        c, d = coin.c, coin.d
-        old = self.pairs
-        n = len(old)
-        new_pairs = []
-        for i in range(n + 2):
-            # new window starts at offset-1: source for the left component
-            # sits at old index i, for the right component at old index i-2
-            if i < n:
-                left_src = old[i]
-                new_left = a * left_src[0] + b * left_src[1]
-            else:
-                new_left = _ZERO
-            if 2 <= i:
-                right_src = old[i - 2]
-                new_right = c * right_src[0] + d * right_src[1]
-            else:
-                new_right = _ZERO
-            new_pairs.append((new_left, new_right))
-        return FiniteSupportState(self.offset - 1, new_pairs)
+        up, down = _coin_rows(coin, self.pairs)
+        return FiniteSupportState(self.offset - 1,
+                                  zip(up + [_ZERO, _ZERO], [_ZERO, _ZERO] + down))
 
     def measure(self) -> "Measure":
         return Measure([l.norm_sq() + r.norm_sq() for l, r in self.pairs],
@@ -127,17 +123,8 @@ class PeriodicState:
 
     def evolve(self, coin: Coin) -> "PeriodicState":
         """One time step; shift-equivariance keeps the period fixed."""
-        a, b = coin.a, coin.b
-        c, d = coin.c, coin.d
-        old = self.pairs
-        p = len(old)
-        new_pairs = []
-        for i in range(p):
-            left_src = old[(i + 1) % p]
-            right_src = old[(i - 1) % p]
-            new_pairs.append((a * left_src[0] + b * left_src[1],
-                              c * right_src[0] + d * right_src[1]))
-        return PeriodicState(new_pairs)
+        up, down = _coin_rows(coin, self.pairs)
+        return PeriodicState(zip(up[1:] + up[:1], down[-1:] + down[:-1]))
 
     def measure(self) -> "Measure":
         return Measure([l.norm_sq() + r.norm_sq() for l, r in self.pairs],
@@ -159,6 +146,8 @@ def state_from_json(data: dict) -> WalkState:
         raise ValueError("state JSON needs a 'kind' tag")
     pairs = [(Quaternion.from_json(l), Quaternion.from_json(r))
              for l, r in data.get("amplitudes", [])]
+    if not all(math.isfinite(v) for pair in pairs for amp in pair for v in amp.components()):
+        raise ValueError("state amplitudes must be finite")
     if data["kind"] == "finite":
         return FiniteSupportState(int(data.get("offset", 0)), pairs)
     if data["kind"] == "periodic":
@@ -177,8 +166,8 @@ class Measure:
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("measure needs at least one value")
-        if any(v < 0.0 for v in vals):
-            raise ValueError("measure values must be nonnegative")
+        if any(not v >= 0.0 for v in vals):
+            raise ValueError("measure values must be nonnegative and not NaN")
         if all(v == 0.0 for v in vals):
             raise ValueError("measure must not be identically zero")
         self.values = vals
@@ -213,16 +202,18 @@ class Measure:
             return len(self.values)
         return max(abs(self.offset), abs(self.offset + len(self.values) - 1))
 
-    def approx_eq(self, other: "Measure", tol: float = DEFAULT_TOL) -> bool:
+    def max_dev(self, other: "Measure") -> float:
+        """Largest absolute sitewise difference, over both windows or one period."""
         if self.periodic != other.periodic:
             raise ValueError("cannot compare periodic and finite measures")
-        if self.periodic:
-            if len(self.values) != len(other.values):
-                raise ValueError("periodic measures have different periods")
-            return all(abs(u - v) <= tol for u, v in zip(self.values, other.values))
+        if self.periodic and len(self.values) != len(other.values):
+            raise ValueError("periodic measures have different periods")
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.values), other.offset + len(other.values))
-        return all(abs(self.value(x) - other.value(x)) <= tol for x in range(lo, hi))
+        return max_or_nan([abs(self.value(x) - other.value(x)) for x in range(lo, hi)])
+
+    def approx_eq(self, other: "Measure", tol: float = DEFAULT_TOL) -> bool:
+        return self.max_dev(other) <= tol
 
     def to_json(self) -> dict:
         if self.periodic:
@@ -247,7 +238,7 @@ def measure_from_json(data: dict) -> Measure:
 
 def _check_normalized(spinor: AmplitudePair) -> None:
     total = spinor[0].norm_sq() + spinor[1].norm_sq()
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise NotNormalizedError(f"initial spinor has squared norm {total!r}")
 
 
@@ -264,7 +255,7 @@ def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> list[dict[in
     out = []
     for _ in range(n_max + 1):
         mu = state.measure()
-        out.append({x: mu.value(x) for x in mu.sites() if mu.value(x) != 0.0})
+        out.append({x: p for x, p in zip(mu.sites(), mu.values) if p != 0.0})
         state = state.evolve(coin)
     return out
 

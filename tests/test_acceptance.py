@@ -27,6 +27,7 @@ from qqwalk import (
     distribution,
     distributions,
     effective_phase_cosine,
+    path_sum,
     path_sum_bruteforce,
     path_sum_reduced,
     preset_coin,
@@ -100,7 +101,7 @@ def test_criterion_02_golden_xi_tables():
             scale = SQRT_HALF ** n
             expected = QMatrix2(*(scale * _SYMBOLS[sym]
                                   for row in rows for sym in row))
-            for evaluate in (path_sum_bruteforce, path_sum_reduced):
+            for evaluate in (path_sum_bruteforce, path_sum_reduced, path_sum):
                 assert evaluate(coin, n, l, m).max_dev(expected) <= 1e-12, \
                     f"{evaluate.__name__} at (n={n}, l={l}, m={m})"
 
@@ -305,8 +306,8 @@ def test_criterion_10_oracle_equivalence():
                 for l in range(n + 1):
                     m = n - l
                     brute = path_sum_bruteforce(coin, n, l, m)
-                    reduced = path_sum_reduced(coin, n, l, m)
-                    assert brute.max_dev(reduced) <= 1e-10
+                    for evaluate in (path_sum_reduced, path_sum):
+                        assert brute.max_dev(evaluate(coin, n, l, m)) <= 1e-10
                     expected = brute.apply(spinor)
                     actual = state.amplitude(m - l)
                     assert actual[0].max_dev(expected[0]) <= 1e-10

@@ -206,3 +206,61 @@ def test_eigen_check_fail_exits_1(capsys, tmp_path):
                            "--state", str(path), "--eigenvalue", "1")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_xi_decompose_has_no_cap_but_oracles_do(capsys):
+    code, out, _ = run_cli(capsys, "xi", "--coin", "hadamard",
+                           "-n", "40", "-l", "20", "-m", "20", "--mode", "decompose")
+    assert code == 0
+    assert set(json.loads(out)) == {"p", "q", "r", "s"}
+    for mode in ("brute", "reduced"):
+        code, _, err = run_cli(capsys, "xi", "--coin", "hadamard",
+                               "-n", "21", "-l", "10", "-m", "11", "--mode", mode)
+        assert code == 4
+        assert "cap" in err
+
+
+def test_non_finite_input_exits_2(capsys):
+    state = '{"kind":"periodic","amplitudes":[[[NaN,0,0,0],[1,0,0,0]]]}'
+    code, out, err = run_cli(capsys, "eigen-check", "--coin", "flip",
+                             "--state", state, "--eigenvalue", "1")
+    assert code == 2
+    assert out == "" and "finite" in err
+    code, out, _ = run_cli(capsys, "dist", "--coin", "hadamard",
+                           "--init", "[[NaN,0,0,0],[0,0,0,0]]", "--steps", "2")
+    assert code == 2
+    assert out == ""
+
+
+def test_bad_seed_variable_exits_2_for_verify_only(capsys, monkeypatch):
+    monkeypatch.setenv("QQWALK_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--suite", "unitary")
+    assert code == 2
+    assert out == "" and "QQWALK_SEED" in err
+    code, _, _ = run_cli(capsys, "verify", "--suite", "unitary", "--seed", "3")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "dist", "--coin", "hadamard", "--init", "1,0")
+    assert code == 0
+
+
+def test_seed_variable_sets_verify_seed(capsys, monkeypatch):
+    _, flagged, _ = run_cli(capsys, "verify", "--suite", "unitary", "--seed", "5")
+    monkeypatch.setenv("QQWALK_SEED", "5")
+    _, from_env, _ = run_cli(capsys, "verify", "--suite", "unitary")
+    assert from_env == flagged
+
+
+def test_classify_negative_window_exits_2(capsys):
+    measure = json.dumps({"kind": "finite", "values": [1.0, 2.0]})
+    code, _, err = run_cli(capsys, "classify", "--measure", measure,
+                           "--window", "-3")
+    assert code == 2
+    assert "window" in err
+
+
+def test_dist_dead_options_are_gone(capsys):
+    for flag, value in (("--seed", "1"), ("--tol", "1e-9")):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--coin", "hadamard", flag, value])
+        assert exc.value.code == 2
+    capsys.readouterr()

@@ -16,6 +16,7 @@ from qqwalk import (
     QMatrix2,
     Quaternion,
     decompose_pqrs,
+    path_sum,
     path_sum_bruteforce,
     path_sum_reduced,
     preset_coin,
@@ -232,6 +233,8 @@ def test_split_validation():
         path_sum_bruteforce(coin, 3, 1, 1)
     with pytest.raises(InvalidSplitError):
         path_sum_reduced(coin, 3, -1, 4)
+    with pytest.raises(InvalidSplitError):
+        path_sum(coin, 3, 1, 1)
     with pytest.raises(CapExceededError):
         path_sum_bruteforce(coin, 25, 20, 5)
     with pytest.raises(CapExceededError):
@@ -242,3 +245,16 @@ def test_zero_step_split_is_identity():
     coin = preset_coin("hadamard")
     assert path_sum_bruteforce(coin, 0, 0, 0) == QMatrix2.identity()
     assert path_sum_reduced(coin, 0, 0, 0) == QMatrix2.identity()
+    assert path_sum(coin, 0, 0, 0) == QMatrix2.identity()
+
+
+def test_path_sums_beyond_cap_form_a_resolution_of_identity():
+    # sum_l Xi^dagger Xi over the splits of n is the identity for a unitary
+    # coin, because the walk preserves the norm of every initial spinor
+    coin = random_unitary_coin(Random(40))
+    n = 40
+    total = QMatrix2.zeros()
+    for l in range(n + 1):
+        xi = path_sum(coin, n, l, n - l)
+        total = total + xi.adjoint() @ xi
+    assert_mclose(total, QMatrix2.identity(), 1e-10)

@@ -33,6 +33,7 @@ from qqwalk import (
     random_unit_pair,
     random_unitary_coin,
     right_eigen_check,
+    stationary_residual,
     verify_stationary,
 )
 
@@ -309,3 +310,35 @@ def test_quadratic_form_matches_simulation():
 def test_quadratic_form_rejects_quaternion_coin():
     with pytest.raises(NotRealCoinError):
         quadratic_form_coefficients(preset_coin("example-ijk"), 2, 1, 1)
+
+
+def test_quadratic_form_beyond_the_word_cap():
+    coin = random_unitary_coin(Random(47), entries="real")
+    alpha, beta = random_unit_pair(Random(48))
+    n = 100
+    dist = distribution(coin, (alpha, beta), n)
+    overlap = (alpha * beta.conj()).real
+    for l in (0, 37, 50):
+        m = n - l
+        a_coef, b_coef, c_coef = quadratic_form_coefficients(coin, n, l, m)
+        predicted = (a_coef * alpha.norm_sq() + b_coef * beta.norm_sq()
+                     + c_coef * overlap)
+        assert abs(predicted - dist.get(m - l, 0.0)) <= 1e-10
+
+
+def test_right_eigen_check_fails_on_nan_amplitude():
+    candidate = build_eigenstate_flip(1, [(q(math.nan), q(1))])
+    passed, residual = right_eigen_check(preset_coin("flip"), candidate)
+    assert passed is False
+    assert math.isnan(residual)
+
+
+def test_stationary_residual():
+    rng = Random(49)
+    coin = random_unitary_coin(rng)
+    uniform = PeriodicState.constant(random_unit_pair(rng))
+    assert stationary_residual(coin, uniform, 10) <= 1e-12
+    delta = FiniteSupportState.delta((q(1), q()))
+    assert stationary_residual(preset_coin("hadamard"), delta, 1) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        stationary_residual(coin, uniform, 0)

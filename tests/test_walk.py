@@ -134,6 +134,8 @@ def test_rejects_unnormalized_spinor():
         distribution(preset_coin("hadamard"), (q(1), q(1)), 2)
     with pytest.raises(NotNormalizedError):
         hadamard_three_step_distribution((q(0.5), q(0.5)))
+    with pytest.raises(NotNormalizedError):
+        distribution(preset_coin("hadamard"), (q(math.nan), q()), 2)
 
 
 def test_norm_conservation_50_steps():
@@ -273,6 +275,8 @@ def test_measure_validation():
         Measure([0.0, 0.0])
     with pytest.raises(ValueError):
         Measure([1.0, -0.5])
+    with pytest.raises(ValueError):
+        Measure([1.0, math.nan])
 
 
 def test_measure_comparison_across_offsets():
@@ -280,3 +284,33 @@ def test_measure_comparison_across_offsets():
     other = Measure([1.0], offset=0)
     assert one.approx_eq(other, 1e-12)
     assert not one.approx_eq(Measure([1.0], offset=1), 1e-12)
+
+
+def test_measure_max_dev():
+    one = Measure([0.0, 1.0, 0.5], offset=-1)
+    assert one.max_dev(Measure([1.0], offset=0)) == 0.5
+    assert one.max_dev(one) == 0.0
+    periodic = Measure([1.0, 2.0], periodic=True)
+    assert periodic.max_dev(Measure([1.5, 1.0], periodic=True)) == 1.0
+    with pytest.raises(ValueError):
+        periodic.max_dev(one)
+    with pytest.raises(ValueError):
+        periodic.max_dev(Measure([1.0], periodic=True))
+
+
+def test_periodic_and_finite_evolution_agree_on_interior():
+    rng = Random(23)
+    coin = random_unitary_coin(rng)
+    periodic = PeriodicState([random_unit_pair(rng) for _ in range(3)])
+    copies = 4
+    finite = FiniteSupportState(0, list(periodic.pairs) * copies)
+    periodic, finite = periodic.evolve(coin), finite.evolve(coin)
+    for x in range(1, 3 * copies - 1):
+        assert finite.amplitude(x) == periodic.amplitude(x)
+
+
+def test_state_json_rejects_non_finite_amplitudes():
+    for bad in (math.nan, math.inf):
+        data = {"kind": "periodic", "amplitudes": [[[bad, 0, 0, 0], [1, 0, 0, 0]]]}
+        with pytest.raises(ValueError, match="finite"):
+            state_from_json(data)
