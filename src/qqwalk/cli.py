@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -60,6 +61,14 @@ def _parse_spinor(text: str) -> tuple[Quaternion, Quaternion]:
     return parse_quaternion(parts[0]), parse_quaternion(parts[1])
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` value: a finite float >= 0 (a NaN or negative one fails every check)."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _load_json_arg(text: str):
     """Inline JSON (starts with '{' or '[') or a path to a JSON file."""
     stripped = text.strip()
@@ -103,8 +112,7 @@ def _cmd_dist(args) -> int:
     if cfg.output == "csv":
         print("n,x,probability")
         for n, dist in enumerate(series):
-            for x in sorted(dist):
-                print(f"{n},{x},{dist[x]!r}")
+            print("\n".join([f"{n},{x},{dist[x]!r}" for x in sorted(dist)]))
     else:
         payload = [{"n": n, "dist": {str(x): dist[x] for x in sorted(dist)}}
                    for n, dist in enumerate(series)]
@@ -180,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     xi.add_argument("-m", type=int, required=True, help="right steps")
     xi.add_argument("--mode", choices=("brute", "reduced", "decompose"),
                     default="brute")
-    xi.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    xi.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     xi.set_defaults(handler=_cmd_xi)
 
     verify = sub.add_parser("verify", help="run seeded verification suites")
@@ -189,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  "eigen", "theorem1"))
     verify.add_argument("--seed", type=int,
                         help="suite seed (default: QQWALK_SEED, else 0)")
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     verify.set_defaults(handler=_cmd_verify)
 
     classify = sub.add_parser("classify", help="classify a measure")
     classify.add_argument("--measure", required=True,
                           help="measure JSON (inline or file)")
     classify.add_argument("--window", type=int, default=8)
-    classify.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    classify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     classify.set_defaults(handler=_cmd_classify)
 
     eigen = sub.add_parser("eigen-check", help="verify a right eigenpair")
@@ -205,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="periodic state JSON (inline or file)")
     eigen.add_argument("--eigenvalue", required=True,
                        help="quaternion text, e.g. '0+1i+0j+0k'")
-    eigen.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    eigen.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     eigen.set_defaults(handler=_cmd_eigen_check)
 
     return parser

@@ -15,7 +15,7 @@ import math
 import os
 from random import Random
 
-from .quaternion import DEFAULT_TOL, Quaternion, parse_quaternion
+from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan, parse_quaternion
 
 
 class NotUnitaryError(ValueError):
@@ -98,8 +98,9 @@ class QMatrix2:
                 self.e21 * top + self.e22 * bottom)
 
     def max_dev(self, other: "QMatrix2") -> float:
-        return max(self.e11.max_dev(other.e11), self.e12.max_dev(other.e12),
-                   self.e21.max_dev(other.e21), self.e22.max_dev(other.e22))
+        """Largest absolute entrywise difference, or NaN if any is NaN."""
+        return max_or_nan((self.e11.max_dev(other.e11), self.e12.max_dev(other.e12),
+                           self.e21.max_dev(other.e21), self.e22.max_dev(other.e22)))
 
     def approx_eq(self, other: "QMatrix2", tol: float = DEFAULT_TOL) -> bool:
         return self.max_dev(other) <= tol
@@ -168,6 +169,9 @@ class Coin:
     __slots__ = ("matrix", "p", "q", "r", "s")
 
     def __init__(self, matrix: QMatrix2, tol: float = DEFAULT_TOL):
+        # finite entries also make a*0 an exact zero, which the walk relies on
+        if not all(math.isfinite(v) for e in matrix.entries() for v in e.components()):
+            raise NotUnitaryError("coin entries must be finite")
         if not matrix.is_unitary(tol):
             raise NotUnitaryError("coin matrix is not unitary within tolerance "
                                   f"{tol!r}")
@@ -236,7 +240,7 @@ class Coin:
             coeff = self.entry(entry_name)
             direct = self.basis(left) @ self.basis(right)
             dev = (coeff * self.basis(result)).max_dev(direct)
-            if dev > tol:
+            if not dev <= tol:
                 raise TableMismatchError(
                     f"product {left}{right} deviates from {entry_name}{result} "
                     f"by {dev!r}")

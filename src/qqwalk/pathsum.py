@@ -217,6 +217,6 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2,
         q=matrix.e21 * cc + matrix.e22 * dc,
     )
     residual = deco.reconstruct(coin).max_dev(matrix)
-    if residual > tol:
+    if not residual <= tol:
         raise NotInSpanError(f"reconstruction residual {residual!r} exceeds {tol!r}")
     return deco

@@ -152,9 +152,9 @@ class Quaternion:
                 and abs(self.y - other.y) <= tol and abs(self.z - other.z) <= tol)
 
     def max_dev(self, other: "Quaternion") -> float:
-        """Largest absolute componentwise difference."""
-        return max(abs(self.w - other.w), abs(self.x - other.x),
-                   abs(self.y - other.y), abs(self.z - other.z))
+        """Largest absolute componentwise difference, or NaN if any is NaN."""
+        return max_or_nan((abs(self.w - other.w), abs(self.x - other.x),
+                           abs(self.y - other.y), abs(self.z - other.z)))
 
     # -- serialization ------------------------------------------------------
 

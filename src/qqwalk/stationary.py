@@ -51,7 +51,7 @@ class EigenCandidate:
 
     def __post_init__(self):
         # unitarity of the evolution forces |lambda| = 1
-        if abs(self.eigenvalue.norm() - 1.0) > DEFAULT_TOL:
+        if not abs(self.eigenvalue.norm() - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"eigenvalue must be unimodular, got |lambda| = "
                              f"{self.eigenvalue.norm()!r}")
 
@@ -119,8 +119,8 @@ def build_eigenstate_flipneg(eigenvalue: Quaternion, coeffs) -> EigenCandidate:
     matches :func:`build_eigenstate_flip` except for a sign:
     ``psiL(2x-1) = -beta_{2x} lambda``.
     """
-    if (abs(eigenvalue.real) > DEFAULT_TOL
-            or abs(eigenvalue.norm() - 1.0) > DEFAULT_TOL):
+    if not (abs(eigenvalue.real) <= DEFAULT_TOL
+            and abs(eigenvalue.norm() - 1.0) <= DEFAULT_TOL):
         raise NotImaginaryUnitError(
             f"eigenvalue must be a unit imaginary quaternion, got {eigenvalue}")
     pairs = _coerce_coeffs(coeffs)
@@ -306,7 +306,7 @@ class PolarInitialState:
     @classmethod
     def from_pair(cls, alpha: Quaternion, beta: Quaternion) -> "PolarInitialState":
         total = alpha.norm_sq() + beta.norm_sq()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise NotNormalizedError(f"spinor has squared norm {total!r}")
         theta_a, axis_a = _axis_of(alpha)
         theta_b, axis_b = _axis_of(beta)

@@ -10,6 +10,18 @@ The site amplitude is a pair (left component, right component); one step
 sends ``psiL'(x) = a psiL(x+1) + b psiR(x+1)`` and
 ``psiR'(x) = c psiL(x-1) + d psiR(x-1)`` with coin entries multiplying
 from the left.
+
+That step lives in ``_coin_rows`` alone.  It spells the Hamilton products
+out on floats in exactly the operation order of ``Quaternion.__mul__``
+followed by ``__add__``, so every component has the same bits as the
+scalar product ``coin.matrix.apply(pair)``, which stays the reference.
+A walk started from a point is nonzero only where ``x = t (mod 2)``.  The
+finite window pads with the shared zero ``_ZERO``, and a pair of two
+shared zeros maps to two shared zeros without arithmetic, so the other
+sublattice costs one identity test per site and ``measure`` reads it as
+0.0.  This is exact because ``Coin`` admits only finite entries, for which
+``a*0`` is a zero; a zero built by arithmetic is treated as any other
+value.
 """
 
 from __future__ import annotations
@@ -50,11 +62,35 @@ def _coin_rows(coin: Coin, pairs) -> tuple[list[Quaternion], list[Quaternion]]:
     """The moved rows ``a psiL + b psiR`` and ``c psiL + d psiR`` of every pair.
 
     Site i of the first row moves one site left and site i of the second
-    one site right; the caller places them for its boundary.
+    one site right; the caller places them for its boundary.  Bit-identical
+    to ``coin.matrix.apply`` per pair, except that the shared zero pair
+    maps to the shared zero (see the module docstring).
     """
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    return ([a * l + b * r for l, r in pairs],
-            [c * l + d * r for l, r in pairs])
+    aw, ax, ay, az = coin.a.components()
+    bw, bx, by, bz = coin.b.components()
+    cw, cx, cy, cz = coin.c.components()
+    dw, dx, dy, dz = coin.d.components()
+    zero = _ZERO
+    up = []
+    down = []
+    for l, r in pairs:
+        if l is zero and r is zero:
+            up.append(zero)
+            down.append(zero)
+            continue
+        lw, lx, ly, lz = l.w, l.x, l.y, l.z
+        rw, rx, ry, rz = r.w, r.x, r.y, r.z
+        up.append(Quaternion(
+            (aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),
+            (aw * lx + ax * lw + ay * lz - az * ly) + (bw * rx + bx * rw + by * rz - bz * ry),
+            (aw * ly - ax * lz + ay * lw + az * lx) + (bw * ry - bx * rz + by * rw + bz * rx),
+            (aw * lz + ax * ly - ay * lx + az * lw) + (bw * rz + bx * ry - by * rx + bz * rw)))
+        down.append(Quaternion(
+            (cw * lw - cx * lx - cy * ly - cz * lz) + (dw * rw - dx * rx - dy * ry - dz * rz),
+            (cw * lx + cx * lw + cy * lz - cz * ly) + (dw * rx + dx * rw + dy * rz - dz * ry),
+            (cw * ly - cx * lz + cy * lw + cz * lx) + (dw * ry - dx * rz + dy * rw + dz * rx),
+            (cw * lz + cx * ly - cy * lx + cz * lw) + (dw * rz + dx * ry - dy * rx + dz * rw)))
+    return up, down
 
 
 class FiniteSupportState:
@@ -87,8 +123,9 @@ class FiniteSupportState:
                                   zip(up + [_ZERO, _ZERO], [_ZERO, _ZERO] + down))
 
     def measure(self) -> "Measure":
-        return Measure([l.norm_sq() + r.norm_sq() for l, r in self.pairs],
-                       offset=self.offset)
+        zero = _ZERO
+        return Measure([0.0 if l is zero and r is zero else l.norm_sq() + r.norm_sq()
+                        for l, r in self.pairs], offset=self.offset)
 
     def norm_sq(self) -> float:
         return sum(l.norm_sq() + r.norm_sq() for l, r in self.pairs)
@@ -166,8 +203,8 @@ class Measure:
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("measure needs at least one value")
-        if any(not v >= 0.0 for v in vals):
-            raise ValueError("measure values must be nonnegative and not NaN")
+        if any(not 0.0 <= v < math.inf for v in vals):
+            raise ValueError("measure values must be finite and nonnegative")
         if all(v == 0.0 for v in vals):
             raise ValueError("measure must not be identically zero")
         self.values = vals

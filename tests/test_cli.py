@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -12,6 +13,18 @@ from qqwalk.cli import main
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 SYMMETRIC_J_INIT = json.dumps([[SQRT_HALF, 0, 0, 0], [0, 0, SQRT_HALF, 0]])
+# A random quaternion coin and spinor (Random(2014)), written out so the
+# golden hashes below do not depend on the samplers.
+RANDOM_COIN = json.dumps({
+    "a": [-0.1271165632761715, 0.2919697586867594, 0.6475427150560427, -0.3773593282998051],
+    "b": [-0.4345298793534234, 0.21414303437566626, 0.31638388713223886, 0.045947683475834326],
+    "c": [0.5422873808421916, 0.17439070464885706, -0.10980513358430821, -0.01839891915690729],
+    "d": [-0.6196264878096792, -0.13694269930386266, -0.5070098815300513, 0.058028302290152906],
+})
+RANDOM_INIT = json.dumps([
+    [0.04653039307699787, 0.3198658725977231, -0.6251427380632999, 0.34246671274514673],
+    [-0.0719062397881712, -0.15403497409885827, 0.013700375579884799, -0.5986224794630677],
+])
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +243,10 @@ def test_non_finite_input_exits_2(capsys):
                            "--init", "[[NaN,0,0,0],[0,0,0,0]]", "--steps", "2")
     assert code == 2
     assert out == ""
+    measure = '{"kind":"finite","values":[Infinity,1,Infinity]}'
+    code, out, err = run_cli(capsys, "classify", "--measure", measure)
+    assert code == 2
+    assert out == "" and "finite" in err
 
 
 def test_bad_seed_variable_exits_2_for_verify_only(capsys, monkeypatch):
@@ -264,3 +281,42 @@ def test_dist_dead_options_are_gone(capsys):
             main(["dist", "--coin", "hadamard", flag, value])
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("coin, init, digest", [
+    ("example-ijk", SYMMETRIC_J_INIT,
+     "be2bef0ae4a9f8f5c6cfd28f829b02ae22222698c2880df004ac7551f6973d28"),
+    (RANDOM_COIN, RANDOM_INIT,
+     "f7dad5192fe65665099b759a52c4b02b0df6c3736b2b394151170067d2945699"),
+], ids=["example-ijk", "random-coin"])
+def test_dist_csv_is_bit_identical_to_the_scalar_walk(capsys, coin, init, digest):
+    # digests of the output of the Quaternion-by-Quaternion walk: any change
+    # to a probability's last bit, or to the row layout, changes them
+    code, out, _ = run_cli(capsys, "dist", "--coin", coin, "--init", init,
+                           "--steps", "200", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_non_finite_coin_exits_3(capsys):
+    for bad in ("NaN", "Infinity"):
+        coin = ('{"a":[1,0,0,0],"b":[0,0,0,0],"c":[0,0,0,0],"d":[%s,0,0,0]}' % bad)
+        code, out, err = run_cli(capsys, "xi", "--coin", coin,
+                                 "-n", "2", "-l", "1", "-m", "1")
+        assert code == 3
+        assert out == "" and "non-unitary" in err
+
+
+def test_tol_must_be_finite_and_nonnegative(capsys):
+    commands = (["xi", "--coin", "hadamard", "-n", "4", "-l", "3", "-m", "1",
+                 "--mode", "decompose"],
+                ["verify", "--suite", "pqrs"],
+                ["classify", "--measure", '{"kind":"finite","values":[1]}'],
+                ["eigen-check", "--coin", "flip", "--eigenvalue", "1", "--state",
+                 '{"kind":"periodic","amplitudes":[[[1,0,0,0],[1,0,0,0]]]}'])
+    for argv in commands:
+        for bad in ("nan", "inf", "-1e-9"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tol", bad])
+            assert exc.value.code == 2
+            assert "--tol" in capsys.readouterr().err

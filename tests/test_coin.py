@@ -195,3 +195,32 @@ def test_matrix_apply_keeps_entry_order():
 def test_matrix_json_round_trip():
     m = random_matrix(Random(8))
     assert QMatrix2.from_json(m.to_json()) == m
+
+
+def test_matrix_max_dev_propagates_nan():
+    ident = QMatrix2.identity()
+    for idx in range(4):
+        entries = [q(1), q(), q(), q(1)]
+        entries[idx] = q(0, 0, math.nan)
+        assert math.isnan(QMatrix2(*entries).max_dev(ident))
+        assert math.isnan(ident.max_dev(QMatrix2(*entries)))
+
+
+def test_non_finite_coin_is_not_unitary():
+    for bad in (math.nan, math.inf, -math.inf):
+        for idx in range(4):
+            entries = [q(1), q(), q(), q(1)]
+            entries[idx] = entries[idx] + q(0, bad)
+            assert not QMatrix2(*entries).is_unitary(1e-10)
+            with pytest.raises(NotUnitaryError):
+                Coin(QMatrix2(*entries))
+    with pytest.raises(NotUnitaryError):
+        coin_from_json({"a": [1, 0, 0, 0], "b": [0, 0, 0, 0],
+                        "c": [0, 0, 0, 0], "d": [math.nan, 0, 0, 0]})
+
+
+def test_product_table_detects_nan_corruption():
+    coin = preset_coin("hadamard")
+    coin.p = QMatrix2(q(math.nan), coin.b, 0, 0)
+    with pytest.raises(TableMismatchError):
+        coin.product_table()

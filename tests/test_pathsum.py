@@ -258,3 +258,9 @@ def test_path_sums_beyond_cap_form_a_resolution_of_identity():
         xi = path_sum(coin, n, l, n - l)
         total = total + xi.adjoint() @ xi
     assert_mclose(total, QMatrix2.identity(), 1e-10)
+
+
+def test_decompose_rejects_nan_matrix():
+    coin = preset_coin("hadamard")
+    with pytest.raises(NotInSpanError):
+        decompose_pqrs(coin, QMatrix2(Quaternion(float("nan")), 0, 0, 1))

@@ -164,3 +164,10 @@ def test_json_round_trip(v):
 def test_json_rejects_wrong_shape():
     with pytest.raises(ValueError):
         Quaternion.from_json([1.0, 2.0])
+
+
+def test_max_dev_propagates_nan():
+    for bad in (q(math.nan), q(0, math.nan), q(0, 0, 0, math.nan)):
+        assert math.isnan(q(1, 2, 3, 4).max_dev(bad))
+        assert math.isnan(bad.max_dev(q()))
+    assert q(1, 2, 3, 4).max_dev(q(1, 2, 3, math.inf)) == math.inf

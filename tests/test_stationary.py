@@ -13,6 +13,7 @@ from qqwalk import (
     FiniteSupportState,
     Measure,
     NotImaginaryUnitError,
+    NotNormalizedError,
     NotRealCoinError,
     PeriodicState,
     PolarInitialState,
@@ -342,3 +343,15 @@ def test_stationary_residual():
     assert stationary_residual(preset_coin("hadamard"), delta, 1) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         stationary_residual(coin, uniform, 0)
+
+
+def test_nan_eigenvalue_is_rejected():
+    with pytest.raises(ValueError):
+        EigenCandidate(all_ones_state(), Quaternion(math.nan))
+    with pytest.raises(NotImaginaryUnitError):
+        build_eigenstate_flipneg(q(0, math.nan), [(q(1), q(1))])
+
+
+def test_polar_rejects_nan_spinor():
+    with pytest.raises(NotNormalizedError):
+        PolarInitialState.from_pair(Quaternion(math.nan), Quaternion())

@@ -6,6 +6,8 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qqwalk import (
     Coin,
@@ -24,6 +26,7 @@ from qqwalk import (
     random_unitary_coin,
     state_from_json,
 )
+from qqwalk.walk import _ZERO, _ZERO_PAIR, _coin_rows
 
 from conftest import SQRT_HALF, assert_dist_close, assert_qclose, max_dist_dev, q
 
@@ -277,6 +280,8 @@ def test_measure_validation():
         Measure([1.0, -0.5])
     with pytest.raises(ValueError):
         Measure([1.0, math.nan])
+    with pytest.raises(ValueError):
+        Measure([math.inf, 1.0, math.inf])
 
 
 def test_measure_comparison_across_offsets():
@@ -314,3 +319,45 @@ def test_state_json_rejects_non_finite_amplitudes():
         data = {"kind": "periodic", "amplitudes": [[[bad, 0, 0, 0], [1, 0, 0, 0]]]}
         with pytest.raises(ValueError, match="finite"):
             state_from_json(data)
+
+
+_component = st.floats(min_value=-2.0, max_value=2.0)
+_amplitude = st.one_of(
+    st.just(_ZERO),
+    st.builds(Quaternion),  # a fresh zero, not the shared one
+    st.builds(Quaternion, _component, _component, _component, _component))
+_pair = st.one_of(st.just(_ZERO_PAIR), st.tuples(_amplitude, _amplitude))
+
+
+@given(seed=st.integers(0, 2 ** 32),
+       entries=st.sampled_from(("real", "complex", "quaternion")),
+       pairs=st.lists(_pair, min_size=1, max_size=6))
+def test_coin_rows_are_bit_identical_to_the_scalar_product(seed, entries, pairs):
+    coin = random_unitary_coin(Random(seed), entries)
+    up, down = _coin_rows(coin, pairs)
+    for pair, top, bottom in zip(pairs, up, down):
+        if pair[0] is _ZERO and pair[1] is _ZERO:
+            assert top is _ZERO and bottom is _ZERO
+            continue
+        want_top, want_bottom = coin.matrix.apply(pair)
+        for got, want in ((top, want_top), (bottom, want_bottom)):
+            assert ([v.hex() for v in got.components()]
+                    == [v.hex() for v in want.components()])
+
+
+def test_walk_does_no_quaternion_products(monkeypatch):
+    coin = random_unitary_coin(Random(50))
+    spinor = random_unit_pair(Random(51))
+    products = []
+    scalar_mul = Quaternion.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return scalar_mul(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counting_mul)
+    assert coin.a * coin.b == scalar_mul(coin.a, coin.b) and len(products) == 1
+    products.clear()
+    law = distributions(coin, spinor, 50)
+    assert len(products) == 0
+    assert sum(law[50].values()) == pytest.approx(1.0, abs=1e-12)
