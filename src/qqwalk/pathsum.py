@@ -12,13 +12,16 @@ for any n.  Two capped reference oracles enumerate all 2^n words instead:
   collapses it to a single coin-entry coefficient times one basis letter,
   then total the coefficients per letter.
 
-Both enumerate words in the same deterministic order (lexicographic in
-the P positions), so sums are bit-stable across runs.
+Both fold every word left to right and enumerate words in the same
+deterministic order (lexicographic in the P positions), so sums are
+bit-stable across runs.  Words that share a prefix share its fold, which
+takes C(n+2, l+1) - 4 steps in all for 0 < l < n instead of one per
+letter of every word, C(n, l) * (n - 1).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,14 +93,17 @@ class PQWord:
         return self.letters()
 
 
-def _reduce_letters(coin: Coin, letters) -> tuple[Quaternion, str]:
-    it = iter(letters)
-    basis = next(it)
-    coeff = Quaternion(1.0)
-    for letter in it:
-        entry_name, basis = PRODUCT_RULES[(basis, letter)]
-        coeff = coeff * coin.entry(entry_name)
-    return coeff, basis
+def _reduction_step(coin: Coin):
+    """The product-table fold step ``(coeff, B), L -> (coeff * entry, B')``."""
+    entries = {"a": coin.a, "b": coin.b, "c": coin.c, "d": coin.d}
+    rules = {pair: (entries[entry_name], result)
+             for pair, (entry_name, result) in PRODUCT_RULES.items()}
+
+    def step(folded, letter):
+        coeff, basis = folded
+        entry, basis = rules[(basis, letter)]
+        return coeff * entry, basis
+    return step
 
 
 def reduce_word(coin: Coin, word: PQWord) -> tuple[Quaternion, str]:
@@ -109,7 +115,8 @@ def reduce_word(coin: Coin, word: PQWord) -> tuple[Quaternion, str]:
     For alternating blocks this reproduces the familiar pattern, e.g.
     ``P^u Q^v P^w -> a^(u-1) b d^(v-1) c a^(w-1) P``.
     """
-    return _reduce_letters(coin, word.letters())
+    letters = word.letters()
+    return functools.reduce(_reduction_step(coin), letters[1:], (ONE, letters[0]))
 
 
 def _check_split(n: int, l: int, m: int, cap: float = math.inf) -> None:
@@ -119,14 +126,31 @@ def _check_split(n: int, l: int, m: int, cap: float = math.inf) -> None:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
 
 
-def _words(n: int, l: int):
-    """All letter sequences with l P's among n slots, lexicographic in P positions."""
-    base = ["Q"] * n
-    for positions in itertools.combinations(range(n), l):
-        word = base.copy()
-        for pos in positions:
-            word[pos] = "P"
-        yield word
+def _folds(first, step, n: int, l: int):
+    """Left fold of every word with l P's among n letters, in the order of
+    ``itertools.combinations`` over the P positions.
+
+    Yields ``step(...step(first(w[0]), w[1])..., w[n-1])`` per word.  The
+    word tree is walked depth first, P before Q, so each prefix is folded
+    once and shared by all words below it; the stack holds one pending
+    branch per level.
+    """
+    # (fold of the parent prefix, next letter, prefix length, P's left after it)
+    stack = []
+    if l < n:
+        stack.append((None, "Q", 1, l))
+    if l > 0:
+        stack.append((None, "P", 1, l - 1))
+    while stack:
+        parent, letter, depth, p_left = stack.pop()
+        folded = first(letter) if depth == 1 else step(parent, letter)
+        if depth == n:
+            yield folded
+            continue
+        if depth + p_left < n:
+            stack.append((folded, "Q", depth + 1, p_left))
+        if p_left:
+            stack.append((folded, "P", depth + 1, p_left - 1))
 
 
 def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
@@ -150,11 +174,10 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int,
     _check_split(n, l, m, cap)
     if n == 0:
         return QMatrix2.identity()
+    basis = {"P": coin.p, "Q": coin.q, "R": coin.r, "S": coin.s}
     total = QMatrix2.zeros()
-    for word in _words(n, l):
-        product = coin.basis(word[0])
-        for letter in word[1:]:
-            product = product @ coin.basis(letter)
+    for product in _folds(basis.__getitem__,
+                          lambda product, letter: product @ basis[letter], n, l):
         total = total + product
     return total
 
@@ -163,15 +186,14 @@ def path_sum_reduced(coin: Coin, n: int, l: int, m: int,
                      cap: int = WORD_CAP) -> QMatrix2:
     """Same sum as :func:`path_sum_bruteforce` via per-word table reduction.
 
-    Each word costs one quaternion product per letter instead of a matrix
-    product, and the coefficients are accumulated per basis letter.
+    Each fold step is one quaternion product instead of a matrix product,
+    and the coefficients are accumulated per basis letter.
     """
     _check_split(n, l, m, cap)
     if n == 0:
         return QMatrix2.identity()
     sums = {"P": Quaternion(), "Q": Quaternion(), "R": Quaternion(), "S": Quaternion()}
-    for word in _words(n, l):
-        coeff, basis = _reduce_letters(coin, word)
+    for coeff, basis in _folds(lambda letter: (ONE, letter), _reduction_step(coin), n, l):
         sums[basis] = sums[basis] + coeff
     return (sums["P"] * coin.p + sums["Q"] * coin.q
             + sums["R"] * coin.r + sums["S"] * coin.s)

@@ -334,7 +334,7 @@ def effective_phase_cosine(polar: PolarInitialState) -> float:
     overlap = sum(u * v for u, v in zip(polar.axis_alpha, polar.axis_beta))
     value = (math.cos(polar.theta_alpha) * math.cos(polar.theta_beta)
              + overlap * math.sin(polar.theta_alpha) * math.sin(polar.theta_beta))
-    if abs(value) > 1.0 + 1e-9:
+    if not abs(value) <= 1.0 + 1e-9:
         raise ValueError(f"phase cosine {value!r} out of range; "
                          "axes are not unit vectors")
     return max(-1.0, min(1.0, value))

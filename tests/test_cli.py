@@ -320,3 +320,31 @@ def test_tol_must_be_finite_and_nonnegative(capsys):
                 main(argv + ["--tol", bad])
             assert exc.value.code == 2
             assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coin, l, mode, digest", [
+    ("example-ijk", 6, "brute",
+     "0c04be08ff90b935bfe61617e0e2c3a373ac301b73a5203d045c5d9577722efb"),
+    ("example-ijk", 6, "reduced",
+     "7584a1be19d1ca969b45c55b9d29bcde0dc05bd7c9ab2585256404f08af979c0"),
+    ("example-ijk", 3, "brute",
+     "e25ee2ec624d895bb02785a3777331301fabcbc183709ffba4fe34d48b21887d"),
+    ("example-ijk", 3, "reduced",
+     "5aa18649fabae8d6dc52912b6ffb96839ea92ee8a0aa6b8a598bd80e4dbb1318"),
+    (RANDOM_COIN, 6, "brute",
+     "f060e3bed7c0db59b82495f644c3a223d57ba0d859cb952697e5aee7a09e3007"),
+    (RANDOM_COIN, 6, "reduced",
+     "f78739635355d6849199fec9417dcfa45ab12c797442c47a8ae4d99c60ce6e8e"),
+    (RANDOM_COIN, 3, "brute",
+     "a39e215f8b5a60f41e55a9ce70035bf57f9f61a43957d7bdee01ee630208fae7"),
+    (RANDOM_COIN, 3, "reduced",
+     "bdf0461d11b51876dfcd67957cfb9e97726b282e92044e6f93dc8ab77aa506a1"),
+], ids=["example-ijk-6-brute", "example-ijk-6-reduced", "example-ijk-3-brute",
+        "example-ijk-3-reduced", "random-coin-6-brute", "random-coin-6-reduced",
+        "random-coin-3-brute", "random-coin-3-reduced"])
+def test_xi_oracles_are_bit_identical_to_word_by_word_folds(capsys, coin, l, mode, digest):
+    # digests of the output of the oracles folding each word on its own
+    code, out, _ = run_cli(capsys, "xi", "--coin", coin, "-n", "12", "-l", str(l),
+                           "-m", str(12 - l), "--mode", mode)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import types
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqwalk import (
     CapExceededError,
@@ -24,6 +29,7 @@ from qqwalk import (
     random_unitary_coin,
     reduce_word,
 )
+from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES
 
 from conftest import SQRT_HALF, assert_mclose, assert_qclose, q
 
@@ -139,6 +145,69 @@ def test_reduced_equals_bruteforce():
                 brute = path_sum_bruteforce(coin, n, l, n - l)
                 reduced = path_sum_reduced(coin, n, l, n - l)
                 assert brute.max_dev(reduced) <= 1e-10
+
+
+def _word_by_word(coin, n, l):
+    """Both oracle sums, each word folded on its own, summed in the order of
+    ``itertools.combinations`` over the P positions."""
+    if n == 0:
+        return QMatrix2.identity(), QMatrix2.identity()
+
+    def reduce_step(folded, letter):
+        coeff, basis = folded
+        entry_name, basis = PRODUCT_RULES[(basis, letter)]
+        return coeff * coin.entry(entry_name), basis
+
+    total = QMatrix2.zeros()
+    sums = {letter: Quaternion() for letter in "PQRS"}
+    for positions in itertools.combinations(range(n), l):
+        word = ["P" if i in positions else "Q" for i in range(n)]
+        total = total + functools.reduce(
+            lambda product, letter: product @ coin.basis(letter),
+            word[1:], coin.basis(word[0]))
+        coeff, basis = functools.reduce(reduce_step, word[1:], (Quaternion(1.0), word[0]))
+        sums[basis] = sums[basis] + coeff
+    return total, (sums["P"] * coin.p + sums["Q"] * coin.q
+                   + sums["R"] * coin.r + sums["S"] * coin.s)
+
+
+def _hexes(matrix):
+    return [v.hex() for entry in (matrix.e11, matrix.e12, matrix.e21, matrix.e22)
+            for v in entry.components()]
+
+
+_coins = st.one_of(
+    st.sampled_from(PRESET_NAMES).map(preset_coin),
+    st.builds(lambda seed, entries: random_unitary_coin(Random(seed), entries),
+              st.integers(0, 2 ** 32), st.sampled_from(("real", "complex", "quaternion"))))
+
+
+@settings(deadline=None)
+@given(coin=_coins, n=st.integers(0, 10), data=st.data())
+def test_oracles_are_bit_identical_to_word_by_word_folds(coin, n, data):
+    l = data.draw(st.integers(0, n))
+    brute, reduced = _word_by_word(coin, n, l)
+    assert _hexes(path_sum_bruteforce(coin, n, l, n - l)) == _hexes(brute)
+    assert _hexes(path_sum_reduced(coin, n, l, n - l)) == _hexes(reduced)
+
+
+def test_bruteforce_folds_each_shared_prefix_once(monkeypatch):
+    coin = preset_coin("example-ijk")
+    matmuls = []
+    matmul = QMatrix2.__matmul__
+
+    def counting_matmul(self, other):
+        matmuls.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(QMatrix2, "__matmul__", counting_matmul)
+    path_sum_bruteforce(coin, 14, 7, 7)
+    # the word tree has C(16, 8) - 1 prefixes, 3 of them of length <= 1
+    assert len(matmuls) == math.comb(16, 8) - 4 == 12866
+    for l in (0, 14):
+        matmuls.clear()
+        path_sum_bruteforce(coin, 14, l, 14 - l)
+        assert len(matmuls) == 13
 
 
 def test_row_sum_is_coin_power():

@@ -235,6 +235,12 @@ def test_phase_cosine_bounded():
         assert abs(effective_phase_cosine(polar)) <= 1.0
 
 
+def test_phase_cosine_rejects_nan_phase():
+    polar = PolarInitialState(math.nan, 0.0, 0.5, (0, 0, 1), (0, 0, 1))
+    with pytest.raises(ValueError):
+        effective_phase_cosine(polar)
+
+
 def test_complexify_j_spinor():
     polar = PolarInitialState.from_pair(q(SQRT_HALF), q(0, 0, SQRT_HALF))
     alpha, beta = complexify_initial_state(polar)
