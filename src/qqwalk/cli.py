@@ -25,7 +25,7 @@ from .pathsum import (
     path_sum_bruteforce,
     path_sum_reduced,
 )
-from .quaternion import DEFAULT_TOL, Quaternion, parse_quaternion
+from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, parse_quaternion
 from .stationary import EigenCandidate, classify_measure, right_eigen_check
 from .verify import run_suites
 from .walk import PeriodicState, distributions, measure_from_json, state_from_json
@@ -94,9 +94,12 @@ def _resolve_run_config(args) -> RunConfig:
             values[key] = flag
     if "coin" not in values:
         raise ValueError("a coin is required (--coin or config file)")
+    for key in ("coin", "init"):
+        if key in values and not isinstance(values[key], str):
+            raise ValueError(f"{key} must be a string, got {values[key]!r}")
+    values["steps"] = _json_cast(int, values.get("steps", 0), "steps")
     cfg = RunConfig(**{k: v for k, v in values.items()
                        if k in RunConfig.__dataclass_fields__})
-    cfg.steps = int(cfg.steps)
     if cfg.steps < 0:
         raise ValueError("steps must be >= 0")
     if cfg.output not in ("csv", "json"):

@@ -113,16 +113,18 @@ class QMatrix2:
     def __hash__(self):
         return hash(self.entries())
 
-    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
-        """True iff both M M* and M* M are the identity within ``tol``.
+    def unitarity_residual(self) -> float:
+        """Largest entrywise deviation of M M* and M* M from the identity, or NaN.
 
         Either product implies the other for square quaternion matrices;
-        checking both is a cheap guard against arithmetic slips.
+        measuring both is a cheap guard against arithmetic slips.
         """
         ident = QMatrix2.identity()
         adj = self.adjoint()
-        return ((self @ adj).max_dev(ident) <= tol
-                and (adj @ self).max_dev(ident) <= tol)
+        return max_or_nan(((self @ adj).max_dev(ident), (adj @ self).max_dev(ident)))
+
+    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
+        return self.unitarity_residual() <= tol
 
     def to_json(self) -> list[list[list[float]]]:
         return [[self.e11.to_json(), self.e12.to_json()],
@@ -155,28 +157,33 @@ PRODUCT_RULES: dict[tuple[str, str], tuple[str, str]] = {
 }
 
 
+class ProductTable(dict):
+    """``(left, right) -> (coefficient, letter)``; ``residual`` is the worst deviation."""
+
+
 class Coin:
     """A validated unitary coin together with its split parts.
 
     Attributes:
         matrix: the unitary ``[[a, b], [c, d]]``.
+        unitarity_residual: ``matrix.unitarity_residual()``, within ``DEFAULT_TOL``.
         p: ``[[a, b], [0, 0]]`` (moves the walker left).
         q: ``[[0, 0], [c, d]]`` (moves the walker right).
         r: ``[[c, d], [0, 0]]`` and s: ``[[0, 0], [a, b]]``, the mates that
            close {P, Q, R, S} under multiplication.
     """
 
-    __slots__ = ("matrix", "p", "q", "r", "s")
+    __slots__ = ("matrix", "unitarity_residual", "p", "q", "r", "s")
 
-    def __init__(self, matrix: QMatrix2, tol: float = DEFAULT_TOL):
-        # finite entries also make a*0 an exact zero, which the walk relies on
-        if not all(math.isfinite(v) for e in matrix.entries() for v in e.components()):
-            raise NotUnitaryError("coin entries must be finite")
-        if not matrix.is_unitary(tol):
-            raise NotUnitaryError("coin matrix is not unitary within tolerance "
-                                  f"{tol!r}")
+    def __init__(self, matrix: QMatrix2):
+        # a NaN or infinite entry makes the residual NaN or infinite, so every
+        # coin is finite and a*0 is an exact zero, which the walk relies on
+        residual = matrix.unitarity_residual()
+        if not residual <= DEFAULT_TOL:
+            raise NotUnitaryError(f"coin matrix is not unitary: residual {residual!r}")
         zero = Quaternion()
         self.matrix = matrix
+        self.unitarity_residual = residual
         self.p = QMatrix2(matrix.e11, matrix.e12, zero, zero)
         self.q = QMatrix2(zero, zero, matrix.e21, matrix.e22)
         self.r = QMatrix2(matrix.e21, matrix.e22, zero, zero)
@@ -226,16 +233,18 @@ class Coin:
     def is_real(self, tol: float = DEFAULT_TOL) -> bool:
         return all(e.imag.norm() <= tol for e in self.matrix.entries())
 
-    def product_table(self, tol: float = DEFAULT_TOL) -> dict[tuple[str, str], tuple[Quaternion, str]]:
+    def product_table(self, tol: float = DEFAULT_TOL) -> ProductTable:
         """The 16 products of {P, Q, R, S} as (coefficient, basis letter).
 
-        Every entry is re-verified against the direct matrix product.
+        Every entry is re-verified against the direct matrix product; the
+        worst deviation is the table's ``residual``.
 
         Raises:
             TableMismatchError: if any entry deviates beyond ``tol``
                 (a corrupted or non-unitary coin).
         """
-        table = {}
+        table = ProductTable()
+        deviations = []
         for (left, right), (entry_name, result) in PRODUCT_RULES.items():
             coeff = self.entry(entry_name)
             direct = self.basis(left) @ self.basis(right)
@@ -244,7 +253,9 @@ class Coin:
                 raise TableMismatchError(
                     f"product {left}{right} deviates from {entry_name}{result} "
                     f"by {dev!r}")
+            deviations.append(dev)
             table[(left, right)] = (coeff, result)
+        table.residual = max_or_nan(deviations)
         return table
 
     def to_json(self) -> dict:

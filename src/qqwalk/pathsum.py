@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coin import Coin, PRODUCT_RULES, QMatrix2
 from .quaternion import DEFAULT_TOL, ONE, ZERO, Quaternion
@@ -168,10 +168,9 @@ def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     return QMatrix2(e11, e12, e21, e22)
 
 
-def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int,
-                        cap: int = WORD_CAP) -> QMatrix2:
-    """Sum of all C(n, l) operator words, each multiplied out as matrices."""
-    _check_split(n, l, m, cap)
+def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
+    """Sum of all C(n, l) operator words, each multiplied out as matrices; n <= WORD_CAP."""
+    _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
     basis = {"P": coin.p, "Q": coin.q, "R": coin.r, "S": coin.s}
@@ -182,21 +181,19 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int,
     return total
 
 
-def path_sum_reduced(coin: Coin, n: int, l: int, m: int,
-                     cap: int = WORD_CAP) -> QMatrix2:
+def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     """Same sum as :func:`path_sum_bruteforce` via per-word table reduction.
 
     Each fold step is one quaternion product instead of a matrix product,
-    and the coefficients are accumulated per basis letter.
+    and the coefficients are accumulated per basis letter; n <= WORD_CAP.
     """
-    _check_split(n, l, m, cap)
+    _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
     sums = {"P": Quaternion(), "Q": Quaternion(), "R": Quaternion(), "S": Quaternion()}
     for coeff, basis in _folds(lambda letter: (ONE, letter), _reduction_step(coin), n, l):
         sums[basis] = sums[basis] + coeff
-    return (sums["P"] * coin.p + sums["Q"] * coin.q
-            + sums["R"] * coin.r + sums["S"] * coin.s)
+    return PQRSDecomposition(sums["P"], sums["Q"], sums["R"], sums["S"]).reconstruct(coin)
 
 
 @dataclass(frozen=True)
@@ -207,6 +204,7 @@ class PQRSDecomposition:
     q: Quaternion
     r: Quaternion
     s: Quaternion
+    residual: float = 0.0  # measured by decompose_pqrs; not part of to_json
 
     def reconstruct(self, coin: Coin) -> QMatrix2:
         return (self.p * coin.p + self.q * coin.q
@@ -224,8 +222,8 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2,
     Row orthonormality of the unitary coin gives projection formulas that
     stay valid for noncommutative coefficients: the top row of the matrix
     is ``p (a, b) + r (c, d)``, and right-multiplying by conjugated coin
-    entries isolates each coefficient.  A reconstruction residual above
-    ``tol`` means the rows were not in the coin's row span.
+    entries isolates each coefficient.  The reconstruction residual comes
+    back with them; above ``tol`` it means the rows were not in the span.
 
     Raises:
         NotInSpanError: reconstruction residual exceeds ``tol``.
@@ -241,4 +239,4 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2,
     residual = deco.reconstruct(coin).max_dev(matrix)
     if not residual <= tol:
         raise NotInSpanError(f"reconstruction residual {residual!r} exceeds {tol!r}")
-    return deco
+    return replace(deco, residual=residual)

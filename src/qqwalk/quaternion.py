@@ -18,6 +18,14 @@ import re
 DEFAULT_TOL = 1e-10
 
 
+def _json_cast(cast, value, what: str):
+    """``cast(value)``, or ValueError naming ``what`` for null, array or too large values."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
 def max_or_nan(values) -> float:
     """``max(values, default=0.0)`` of nonnegative values, or NaN if any is NaN.
 
@@ -78,16 +86,17 @@ class Quaternion:
         """``self * self`` (equals the closed form w^2-x^2-y^2-z^2 + 2w(xi+yj+zk))."""
         return self * self
 
-    def is_unit(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_unit(self) -> bool:
+        """True iff ``| |q| - 1 | <= DEFAULT_TOL`` (a NaN modulus is not a unit)."""
+        return abs(self.norm() - 1.0) <= DEFAULT_TOL
 
-    def inv_unit(self, tol: float = DEFAULT_TOL) -> "Quaternion":
+    def inv_unit(self) -> "Quaternion":
         """Inverse of a unit quaternion, i.e. its conjugate.
 
         Raises:
-            NotUnitError: if ``| |q| - 1 | > tol``.
+            NotUnitError: if :meth:`is_unit` fails.
         """
-        if not self.is_unit(tol):
+        if not self.is_unit():
             raise NotUnitError(f"quaternion has modulus {self.norm()!r}, expected 1")
         return self.conj()
 
@@ -148,8 +157,7 @@ class Quaternion:
         return hash(self.components())
 
     def approx_eq(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
-        return (abs(self.w - other.w) <= tol and abs(self.x - other.x) <= tol
-                and abs(self.y - other.y) <= tol and abs(self.z - other.z) <= tol)
+        return self.max_dev(other) <= tol
 
     def max_dev(self, other: "Quaternion") -> float:
         """Largest absolute componentwise difference, or NaN if any is NaN."""
@@ -168,7 +176,7 @@ class Quaternion:
             return parse_quaternion(data)
         if not isinstance(data, (list, tuple)) or len(data) != 4:
             raise ValueError(f"expected a 4-array of reals, got {data!r}")
-        return cls(*(float(v) for v in data))
+        return cls(*(_json_cast(float, v, "quaternion component") for v in data))
 
     def __str__(self) -> str:
         return format_quaternion(self)

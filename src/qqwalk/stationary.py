@@ -20,7 +20,7 @@ from statistics import linear_regression
 from .coin import Coin
 from .pathsum import path_sum
 from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
-from .walk import Measure, NotNormalizedError, PeriodicState, WalkState
+from .walk import Measure, PeriodicState, WalkState, _check_normalized
 
 #: Residual tolerance for the exponential-profile least-squares fit.
 EXP_FIT_TOL = 1e-6
@@ -51,7 +51,7 @@ class EigenCandidate:
 
     def __post_init__(self):
         # unitarity of the evolution forces |lambda| = 1
-        if not abs(self.eigenvalue.norm() - 1.0) <= DEFAULT_TOL:
+        if not self.eigenvalue.is_unit():
             raise ValueError(f"eigenvalue must be unimodular, got |lambda| = "
                              f"{self.eigenvalue.norm()!r}")
 
@@ -86,6 +86,16 @@ def _coerce_coeffs(coeffs) -> list[tuple[Quaternion, Quaternion]]:
     return out
 
 
+def _interleaved_eigenstate(coeffs, eigenvalue: Quaternion, sign: float) -> EigenCandidate:
+    """Sites 2x, 2x+1 hold (alpha_2x, beta_2x), (sign beta_{2x+2} lam, alpha_2x lam)."""
+    pairs = _coerce_coeffs(coeffs)
+    sites: list[tuple[Quaternion, Quaternion]] = []
+    for (alpha, beta), (_, next_beta) in zip(pairs, pairs[1:] + pairs[:1]):
+        sites.append((alpha, beta))
+        sites.append((next_beta * eigenvalue * sign, alpha * eigenvalue))
+    return EigenCandidate(PeriodicState(sites), eigenvalue)
+
+
 def build_eigenstate_flip(lambda_sign: int, coeffs) -> EigenCandidate:
     """Right eigenvector of the coin [[0,1],[1,0]] for lambda = +1 or -1.
 
@@ -99,16 +109,7 @@ def build_eigenstate_flip(lambda_sign: int, coeffs) -> EigenCandidate:
     """
     if lambda_sign not in (1, -1):
         raise ValueError("lambda_sign must be +1 or -1")
-    lam = Quaternion(float(lambda_sign))
-    pairs = _coerce_coeffs(coeffs)
-    k = len(pairs)
-    sites: list[tuple[Quaternion, Quaternion]] = []
-    for idx in range(k):
-        alpha, beta = pairs[idx]
-        next_beta = pairs[(idx + 1) % k][1]
-        sites.append((alpha, beta))
-        sites.append((next_beta * lam, alpha * lam))
-    return EigenCandidate(PeriodicState(sites), lam)
+    return _interleaved_eigenstate(coeffs, Quaternion(float(lambda_sign)), 1.0)
 
 
 def build_eigenstate_flipneg(eigenvalue: Quaternion, coeffs) -> EigenCandidate:
@@ -119,19 +120,10 @@ def build_eigenstate_flipneg(eigenvalue: Quaternion, coeffs) -> EigenCandidate:
     matches :func:`build_eigenstate_flip` except for a sign:
     ``psiL(2x-1) = -beta_{2x} lambda``.
     """
-    if not (abs(eigenvalue.real) <= DEFAULT_TOL
-            and abs(eigenvalue.norm() - 1.0) <= DEFAULT_TOL):
+    if not (abs(eigenvalue.real) <= DEFAULT_TOL and eigenvalue.is_unit()):
         raise NotImaginaryUnitError(
             f"eigenvalue must be a unit imaginary quaternion, got {eigenvalue}")
-    pairs = _coerce_coeffs(coeffs)
-    k = len(pairs)
-    sites: list[tuple[Quaternion, Quaternion]] = []
-    for idx in range(k):
-        alpha, beta = pairs[idx]
-        next_beta = pairs[(idx + 1) % k][1]
-        sites.append((alpha, beta))
-        sites.append((-(next_beta * eigenvalue), alpha * eigenvalue))
-    return EigenCandidate(PeriodicState(sites), eigenvalue)
+    return _interleaved_eigenstate(coeffs, eigenvalue, -1.0)
 
 
 def stationary_residual(coin: Coin, state: WalkState, n_max: int) -> float:
@@ -305,9 +297,7 @@ class PolarInitialState:
 
     @classmethod
     def from_pair(cls, alpha: Quaternion, beta: Quaternion) -> "PolarInitialState":
-        total = alpha.norm_sq() + beta.norm_sq()
-        if not abs(total - 1.0) <= 1e-9:
-            raise NotNormalizedError(f"spinor has squared norm {total!r}")
+        _check_normalized((alpha, beta))
         theta_a, axis_a = _axis_of(alpha)
         theta_b, axis_b = _axis_of(beta)
         xi = math.atan2(beta.norm(), alpha.norm())
@@ -356,8 +346,8 @@ def complexify_initial_state(polar: PolarInitialState) -> tuple[Quaternion, Quat
     return alpha, beta
 
 
-def quadratic_form_coefficients(coin: Coin, n: int, l: int, m: int,
-                                tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+def quadratic_form_coefficients(coin: Coin, n: int, l: int,
+                                m: int) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of the real-coin position law.
 
     For a coin with real entries the path sum at split (l, m) is a real
@@ -367,9 +357,9 @@ def quadratic_form_coefficients(coin: Coin, n: int, l: int, m: int,
     C = 2 (r11 r12 + r21 r22).
 
     Raises:
-        NotRealCoinError: some coin entry has a nonzero imaginary part.
+        NotRealCoinError: some coin entry has an imaginary part above ``DEFAULT_TOL``.
     """
-    if not coin.is_real(tol):
+    if not coin.is_real():
         raise NotRealCoinError("quadratic form coefficients require a real coin")
     xi = path_sum(coin, n, l, m)
     r11, r12 = xi.e11.w, xi.e12.w

@@ -2,7 +2,8 @@
 
 Each suite returns a list of report dicts
 ``{"check": name, "pass": bool, "max_residual": float, "params": {...}}``
-and is deterministic for a fixed seed.
+and is deterministic for a fixed seed.  Residuals the library measures
+are read from it, not recomputed.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from random import Random
 
 from .coin import Coin, QMatrix2, preset_coin, random_unitary_coin
 from .pathsum import decompose_pqrs, path_sum_bruteforce, path_sum_reduced
-from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
+from .quaternion import DEFAULT_TOL, ONE, ZERO, Quaternion, max_or_nan
 from .stationary import (
     PolarInitialState,
     build_eigenstate_flip,
@@ -31,6 +32,12 @@ def _report(check: str, passed: bool, residual: float, **params) -> dict:
             "max_residual": float(residual), "params": params}
 
 
+def _worst(check: str, residuals, tol: float, **params) -> dict:
+    """Report the largest of ``residuals`` (NaN if any is NaN), passing iff it is <= tol."""
+    worst = max_or_nan(residuals)
+    return _report(check, worst <= tol, worst, **params, tol=tol)
+
+
 def _random_direction(rng: Random) -> Quaternion:
     while True:
         q = Quaternion(*(rng.gauss(0.0, 1.0) for _ in range(4)))
@@ -46,78 +53,50 @@ def _random_imaginary_unit(rng: Random) -> Quaternion:
             return Quaternion(0.0, x / norm, y / norm, z / norm)
 
 
+def _row_residual(coin: Coin) -> float:
+    """Worst deviation of the row inner products (M M* on and above the diagonal) from I."""
+    gram = coin.matrix @ coin.matrix.adjoint()
+    return max_or_nan((gram.e11.max_dev(ONE), gram.e12.max_dev(ZERO), gram.e22.max_dev(ONE)))
+
+
 def suite_unitary(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
     rng = Random(seed)
-    coins = 50
-    ident = QMatrix2.identity()
-    worst_unitary = 0.0
-    worst_rows = 0.0
-    for _ in range(coins):
-        coin = random_unitary_coin(rng)
-        u, adj = coin.matrix, coin.matrix.adjoint()
-        worst_unitary = max(worst_unitary,
-                            (u @ adj).max_dev(ident), (adj @ u).max_dev(ident))
-        gram_diag = (coin.a * coin.a.conj() + coin.b * coin.b.conj(),
-                     coin.c * coin.c.conj() + coin.d * coin.d.conj())
-        gram_off = coin.a * coin.c.conj() + coin.b * coin.d.conj()
-        worst_rows = max(worst_rows,
-                         gram_diag[0].max_dev(Quaternion(1.0)),
-                         gram_diag[1].max_dev(Quaternion(1.0)),
-                         gram_off.max_dev(Quaternion()))
-    return [
-        _report("random-coin-unitarity", worst_unitary <= tol, worst_unitary,
-                coins=coins, seed=seed, tol=tol),
-        _report("row-orthonormality", worst_rows <= tol, worst_rows,
-                coins=coins, seed=seed, tol=tol),
-    ]
+    coins = [random_unitary_coin(rng) for _ in range(50)]
+    return [_worst("random-coin-unitarity", [coin.unitarity_residual for coin in coins],
+                   tol, coins=len(coins), seed=seed),
+            _worst("row-orthonormality", [_row_residual(coin) for coin in coins],
+                   tol, coins=len(coins), seed=seed)]
 
 
 def suite_pqrs(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
     rng = Random(seed)
-    reports = []
-
-    table_worst = 0.0
     coins = [preset_coin("hadamard"), preset_coin("example-ijk")]
     coins += [random_unitary_coin(rng) for _ in range(10)]
-    for coin in coins:
-        for (left, right), (coeff, basis) in coin.product_table(tol).items():
-            dev = (coeff * coin.basis(basis)).max_dev(
-                coin.basis(left) @ coin.basis(right))
-            table_worst = max(table_worst, dev)
-    reports.append(_report("product-table", table_worst <= tol, table_worst,
-                           coins=len(coins), seed=seed, tol=tol))
+    reports = [_worst("product-table", [coin.product_table(tol).residual for coin in coins],
+                      tol, coins=len(coins), seed=seed)]
 
-    oracle_worst = 0.0
-    round_trip_worst = 0.0
+    oracle_devs = []
+    round_trips = []
     for coin in coins[:5]:
         for n in range(0, 7):
             for l in range(n + 1):
                 brute = path_sum_bruteforce(coin, n, l, n - l)
-                reduced = path_sum_reduced(coin, n, l, n - l)
-                oracle_worst = max(oracle_worst, brute.max_dev(reduced))
-                deco = decompose_pqrs(coin, brute, tol)
-                round_trip_worst = max(round_trip_worst,
-                                       deco.reconstruct(coin).max_dev(brute))
-    reports.append(_report("word-reduction-oracle", oracle_worst <= tol,
-                           oracle_worst, coins=5, max_n=6, seed=seed, tol=tol))
-    reports.append(_report("pqrs-round-trip", round_trip_worst <= tol,
-                           round_trip_worst, coins=5, max_n=6, seed=seed, tol=tol))
+                oracle_devs.append(brute.max_dev(path_sum_reduced(coin, n, l, n - l)))
+                round_trips.append(decompose_pqrs(coin, brute, tol).residual)
+    reports.append(_worst("word-reduction-oracle", oracle_devs, tol,
+                          coins=5, max_n=6, seed=seed))
+    reports.append(_worst("pqrs-round-trip", round_trips, tol, coins=5, max_n=6, seed=seed))
 
-    coeff_worst = 0.0
     quat_coin = random_unitary_coin(rng)
     a, b, c = quat_coin.a, quat_coin.b, quat_coin.c
     deco = decompose_pqrs(quat_coin, path_sum_bruteforce(quat_coin, 4, 3, 1), tol)
-    coeff_worst = max(coeff_worst,
-                      deco.p.max_dev(a * b * c + b * c * a),
-                      deco.q.max_dev(Quaternion()),
-                      deco.r.max_dev(a * a * b),
-                      deco.s.max_dev(c * a * a))
+    coeff_devs = [deco.p.max_dev(a * b * c + b * c * a), deco.q.max_dev(ZERO),
+                  deco.r.max_dev(a * a * b), deco.s.max_dev(c * a * a)]
     complex_coin = random_unitary_coin(rng, entries="complex")
     a, b, c = complex_coin.a, complex_coin.b, complex_coin.c
     deco = decompose_pqrs(complex_coin, path_sum_bruteforce(complex_coin, 4, 3, 1), tol)
-    coeff_worst = max(coeff_worst, deco.p.max_dev(2.0 * (a * b * c)))
-    reports.append(_report("pqrs-known-coefficients", coeff_worst <= tol,
-                           coeff_worst, seed=seed, tol=tol))
+    coeff_devs.append(deco.p.max_dev(2.0 * (a * b * c)))
+    reports.append(_worst("pqrs-known-coefficients", coeff_devs, tol, seed=seed))
     return reports
 
 
@@ -156,16 +135,12 @@ def _random_b0_state(rng: Random) -> PeriodicState:
 
 def suite_stationary(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
     rng = Random(seed)
-    reports = []
-
     residuals = []
     for _ in range(20):
         coin = random_unitary_coin(rng)
         spinor = random_unit_pair(rng)
         residuals.append(stationary_residual(coin, PeriodicState.constant(spinor), 30))
-    uniform_worst = max_or_nan(residuals)
-    reports.append(_report("uniform-stationary", uniform_worst <= tol, uniform_worst,
-                           coins=20, steps=30, seed=seed, tol=tol))
+    reports = [_worst("uniform-stationary", residuals, tol, coins=20, steps=30, seed=seed)]
 
     flip = preset_coin("flip")
     candidate = build_eigenstate_flip(-1, [(Quaternion(1), Quaternion(1)),
@@ -205,8 +180,7 @@ def suite_eigen(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
                   for _ in range(rng.randint(1, 3))]
         residuals.append(right_eigen_check(
             flip_neg, build_eigenstate_flipneg(lam, coeffs), tol)[1])
-    worst = max_or_nan(residuals)
-    reports = [_report("right-eigenpair", worst <= tol, worst, seed=seed, tol=tol)]
+    reports = [_worst("right-eigenpair", residuals, tol, seed=seed)]
 
     # the eigenvalue must act on the right; left action has to break for a
     # candidate whose amplitudes do not commute with lambda
@@ -225,7 +199,7 @@ def suite_eigen(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
 
 def suite_theorem1(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
     rng = Random(seed)
-    worst = 0.0
+    devs = []
     for _ in range(5):
         coin = random_unitary_coin(rng, entries="real")
         for _ in range(20):
@@ -235,12 +209,12 @@ def suite_theorem1(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
             original = distributions(coin, (alpha, beta), 8)
             reduced = distributions(coin, twin, 8)
             for dist_a, dist_b in zip(original, reduced):
-                for x in set(dist_a) | set(dist_b):
-                    worst = max(worst, abs(dist_a.get(x, 0.0) - dist_b.get(x, 0.0)))
-    reports = [_report("complexified-distribution-equality", worst <= tol,
-                       worst, coins=5, states=20, max_n=8, seed=seed, tol=tol)]
+                devs.extend(abs(dist_a.get(x, 0.0) - dist_b.get(x, 0.0))
+                            for x in set(dist_a) | set(dist_b))
+    reports = [_worst("complexified-distribution-equality", devs, tol,
+                      coins=5, states=20, max_n=8, seed=seed)]
 
-    law_worst = 0.0
+    law_devs = []
     for _ in range(5):
         coin = random_unitary_coin(rng, entries="real")
         alpha, beta = random_unit_pair(rng)
@@ -251,9 +225,8 @@ def suite_theorem1(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
             a_coef, b_coef, c_coef = quadratic_form_coefficients(coin, 4, l, m)
             predicted = (a_coef * alpha.norm_sq() + b_coef * beta.norm_sq()
                          + c_coef * overlap)
-            law_worst = max(law_worst, abs(predicted - dist.get(m - l, 0.0)))
-    reports.append(_report("position-law-coefficients", law_worst <= tol,
-                           law_worst, coins=5, n=4, seed=seed, tol=tol))
+            law_devs.append(abs(predicted - dist.get(m - l, 0.0)))
+    reports.append(_worst("position-law-coefficients", law_devs, tol, coins=5, n=4, seed=seed))
     return reports
 
 

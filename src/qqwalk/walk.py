@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from .coin import Coin
-from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
+from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, max_or_nan
 
 #: Tolerance on | |alpha|^2 + |beta|^2 - 1 | for initial spinors.
 NORM_TOL = 1e-9
@@ -93,6 +93,18 @@ def _coin_rows(coin: Coin, pairs) -> tuple[list[Quaternion], list[Quaternion]]:
     return up, down
 
 
+def _weights(pairs) -> list[float]:
+    """Site weights ``|psiL|^2 + |psiR|^2``; the shared zero pair is 0.0 with no arithmetic."""
+    zero = _ZERO
+    return [0.0 if l is zero and r is zero else l.norm_sq() + r.norm_sq()
+            for l, r in pairs]
+
+
+def _state_json(kind: str, pairs, **fields) -> dict:
+    return {"kind": kind, **fields,
+            "amplitudes": [[l.to_json(), r.to_json()] for l, r in pairs]}
+
+
 class FiniteSupportState:
     """Amplitudes on a dense window ``[offset, offset + len)``; zero outside."""
 
@@ -103,9 +115,9 @@ class FiniteSupportState:
         self.pairs = _coerce_pairs(pairs)
 
     @classmethod
-    def delta(cls, spinor: AmplitudePair, site: int = 0) -> "FiniteSupportState":
-        """State concentrated on a single site."""
-        return cls(site, [spinor])
+    def delta(cls, spinor: AmplitudePair) -> "FiniteSupportState":
+        """State concentrated on the origin."""
+        return cls(0, [spinor])
 
     def sites(self) -> range:
         return range(self.offset, self.offset + len(self.pairs))
@@ -123,16 +135,13 @@ class FiniteSupportState:
                                   zip(up + [_ZERO, _ZERO], [_ZERO, _ZERO] + down))
 
     def measure(self) -> "Measure":
-        zero = _ZERO
-        return Measure([0.0 if l is zero and r is zero else l.norm_sq() + r.norm_sq()
-                        for l, r in self.pairs], offset=self.offset)
+        return Measure(_weights(self.pairs), offset=self.offset)
 
     def norm_sq(self) -> float:
-        return sum(l.norm_sq() + r.norm_sq() for l, r in self.pairs)
+        return sum(_weights(self.pairs))
 
     def to_json(self) -> dict:
-        return {"kind": "finite", "offset": self.offset,
-                "amplitudes": [[l.to_json(), r.to_json()] for l, r in self.pairs]}
+        return _state_json("finite", self.pairs, offset=self.offset)
 
     def __repr__(self):
         return f"FiniteSupportState(offset={self.offset}, sites={len(self.pairs)})"
@@ -164,12 +173,10 @@ class PeriodicState:
         return PeriodicState(zip(up[1:] + up[:1], down[-1:] + down[:-1]))
 
     def measure(self) -> "Measure":
-        return Measure([l.norm_sq() + r.norm_sq() for l, r in self.pairs],
-                       periodic=True)
+        return Measure(_weights(self.pairs), periodic=True)
 
     def to_json(self) -> dict:
-        return {"kind": "periodic", "period": self.period,
-                "amplitudes": [[l.to_json(), r.to_json()] for l, r in self.pairs]}
+        return _state_json("periodic", self.pairs, period=self.period)
 
     def __repr__(self):
         return f"PeriodicState(period={self.period})"
@@ -181,14 +188,17 @@ WalkState = FiniteSupportState | PeriodicState
 def state_from_json(data: dict) -> WalkState:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("state JSON needs a 'kind' tag")
-    pairs = [(Quaternion.from_json(l), Quaternion.from_json(r))
-             for l, r in data.get("amplitudes", [])]
+    amplitudes = data.get("amplitudes", [])
+    if not (isinstance(amplitudes, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in amplitudes)):
+        raise ValueError("state amplitudes must be an array of [left, right] pairs")
+    pairs = [(Quaternion.from_json(l), Quaternion.from_json(r)) for l, r in amplitudes]
     if not all(math.isfinite(v) for pair in pairs for amp in pair for v in amp.components()):
         raise ValueError("state amplitudes must be finite")
     if data["kind"] == "finite":
-        return FiniteSupportState(int(data.get("offset", 0)), pairs)
+        return FiniteSupportState(_json_cast(int, data.get("offset", 0), "offset"), pairs)
     if data["kind"] == "periodic":
-        if "period" in data and int(data["period"]) != len(pairs):
+        if "period" in data and _json_cast(int, data["period"], "period") != len(pairs):
             raise ValueError("declared period does not match the amplitude count")
         return PeriodicState(pairs)
     raise ValueError(f"unknown state kind {data['kind']!r}")
@@ -266,10 +276,14 @@ class Measure:
 def measure_from_json(data: dict) -> Measure:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("measure JSON needs a 'kind' tag")
+    values = data.get("values")
+    if not isinstance(values, list):
+        raise ValueError(f"measure values must be an array, got {values!r}")
+    values = [_json_cast(float, v, "measure value") for v in values]
     if data["kind"] == "finite":
-        return Measure(data["values"], offset=int(data.get("offset", 0)))
+        return Measure(values, offset=_json_cast(int, data.get("offset", 0), "offset"))
     if data["kind"] == "periodic":
-        return Measure(data["values"], periodic=True)
+        return Measure(values, periodic=True)
     raise ValueError(f"unknown measure kind {data['kind']!r}")
 
 

@@ -348,3 +348,56 @@ def test_xi_oracles_are_bit_identical_to_word_by_word_folds(capsys, coin, l, mod
                            "-m", str(12 - l), "--mode", mode)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "3f32d00853f0bdf06a98cb051278fc214caefd5d6b0fc7481efe052278b0ec8a"),
+    (1, "89bd164ed439c6334dc0f1d2337ddcecacbd0b31d6242abe202608ebbd0eb73b"),
+    (7, "82654ffeea3edf47b111be4bd12b1352caf3d44177943ce38d2c4aac99503b23"),
+    (42, "623996e48f1adbfd2d774b4d7b0f71812e820c1f2a18b27fe88a5fa3e1b67db0"),
+])
+def test_verify_reports_are_byte_stable(capsys, seed, digest):
+    # digests of the reports as the suites computed them before they read
+    # the library's residuals: every residual keeps its last bit
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--measure", '{"kind":"finite","values":5}'],
+    ["classify", "--measure", '{"kind":"finite","values":[1,2],"offset":null}'],
+    ["classify", "--measure", '{"kind":"periodic","values":[1,null]}'],
+    ["eigen-check", "--coin", "flip", "--eigenvalue", "1",
+     "--state", '{"kind":"periodic","amplitudes":[1]}'],
+    ["eigen-check", "--coin", "flip", "--eigenvalue", "1",
+     "--state", '{"kind":"periodic","period":null,"amplitudes":[[[1,0,0,0],[1,0,0,0]]]}'],
+    ["eigen-check", "--coin", "flip", "--eigenvalue", "1",
+     "--state", '{"kind":"finite","offset":[0],"amplitudes":[[[1,0,0,0],[1,0,0,0]]]}'],
+    ["xi", "--coin", '{"a":[1,0,0,null],"b":[0,0,0,0],"c":[0,0,0,0],"d":[1,0,0,0]}',
+     "-n", "2", "-l", "1", "-m", "1"],
+    ["dist", "--coin", "hadamard", "--init", "[[1,0,0,null],[0,0,0,0]]"],
+    ["dist", "--coin", "hadamard", "--init", "[[1,0,0,1%s],[0,0,0,0]]" % ("0" * 400)],
+    ["classify", "--measure", '{"kind":"finite","values":[1%s]}' % ("0" * 400)],
+], ids=["measure-values-not-array", "measure-offset-null", "measure-value-null",
+        "state-pair-not-array", "state-period-null", "state-offset-array",
+        "coin-component-null", "spinor-component-null", "spinor-component-huge",
+        "measure-value-huge"])
+def test_malformed_json_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "invalid configuration" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"coin": "hadamard", "steps": None},
+    {"coin": 5},
+    {"coin": "hadamard", "init": 7},
+    {"coin": "hadamard", "steps": 1e400},
+], ids=["steps-null", "coin-number", "init-number", "steps-infinite"])
+def test_malformed_config_file_exits_2(capsys, tmp_path, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "dist", "--config", str(path))
+    assert code == 2
+    assert out == "" and "invalid configuration" in err

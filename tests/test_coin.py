@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from random import Random
@@ -10,13 +11,17 @@ import pytest
 
 from qqwalk import (
     Coin,
+    FiniteSupportState,
     NotUnitaryError,
     QMatrix2,
     Quaternion,
     TableMismatchError,
     coin_from_json,
     coin_from_spec,
+    path_sum_bruteforce,
+    path_sum_reduced,
     preset_coin,
+    quadratic_form_coefficients,
     random_unitary_coin,
 )
 
@@ -224,3 +229,40 @@ def test_product_table_detects_nan_corruption():
     coin.p = QMatrix2(q(math.nan), coin.b, 0, 0)
     with pytest.raises(TableMismatchError):
         coin.product_table()
+
+
+def test_unitarity_residual():
+    rng = Random(11)
+    ident = QMatrix2.identity()
+    for _ in range(10):
+        coin = random_unitary_coin(rng)
+        u, adj = coin.matrix, coin.matrix.adjoint()
+        expected = max((u @ adj).max_dev(ident), (adj @ u).max_dev(ident))
+        assert coin.matrix.unitarity_residual() == expected
+        assert coin.unitarity_residual == expected
+    assert QMatrix2(1, 1, 0, 1).unitarity_residual() == 1.0
+    assert math.isnan(QMatrix2(1, 0, 0, q(0, math.nan)).unitarity_residual())
+
+
+def test_product_table_reports_its_worst_deviation():
+    rng = Random(12)
+    for coin in [preset_coin("example-ijk")] + [random_unitary_coin(rng) for _ in range(5)]:
+        table = coin.product_table()
+        devs = [(coeff * coin.basis(basis)).max_dev(coin.basis(left) @ coin.basis(right))
+                for (left, right), (coeff, basis) in table.items()]
+        assert len(devs) == 16
+        assert table.residual == max(devs)
+
+
+@pytest.mark.parametrize("func, name", [
+    (Coin.__init__, "tol"),
+    (Quaternion.is_unit, "tol"),
+    (Quaternion.inv_unit, "tol"),
+    (path_sum_bruteforce, "cap"),
+    (path_sum_reduced, "cap"),
+    (quadratic_form_coefficients, "tol"),
+    (FiniteSupportState.delta, "site"),
+])
+def test_unused_knobs_are_gone(func, name):
+    # fixed at DEFAULT_TOL, WORD_CAP and the origin; no caller ever set them
+    assert name not in inspect.signature(func).parameters

@@ -333,3 +333,13 @@ def test_decompose_rejects_nan_matrix():
     coin = preset_coin("hadamard")
     with pytest.raises(NotInSpanError):
         decompose_pqrs(coin, QMatrix2(Quaternion(float("nan")), 0, 0, 1))
+
+
+def test_decompose_returns_its_reconstruction_residual():
+    rng = Random(32)
+    for _ in range(10):
+        coin = random_unitary_coin(rng)
+        matrix = path_sum_bruteforce(coin, 5, 2, 3)
+        deco = decompose_pqrs(coin, matrix)
+        assert deco.residual == deco.reconstruct(coin).max_dev(matrix)
+        assert sorted(deco.to_json()) == ["p", "q", "r", "s"]

@@ -361,3 +361,14 @@ def test_nan_eigenvalue_is_rejected():
 def test_polar_rejects_nan_spinor():
     with pytest.raises(NotNormalizedError):
         PolarInitialState.from_pair(Quaternion(math.nan), Quaternion())
+
+
+def test_flipneg_odd_sites_are_exact_negations():
+    lam = q(0, 0.6, 0, 0.8)
+    coeffs = [(q(0.3, -0.2, 0.1, 0.5), q(-0.7, 0.4, 0.25, -0.1)),
+              (q(1, 2, 3, 4), q(-0.1, 0.5, -1.5, 2))]
+    state = build_eigenstate_flipneg(lam, coeffs).state
+    for idx, (alpha, beta) in enumerate(coeffs):
+        next_beta = coeffs[(idx + 1) % 2][1]
+        assert state.pairs[2 * idx] == (alpha, beta)
+        assert state.pairs[2 * idx + 1] == (-(next_beta * lam), alpha * lam)
