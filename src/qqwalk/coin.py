@@ -102,9 +102,6 @@ class QMatrix2:
         return max_or_nan((self.e11.max_dev(other.e11), self.e12.max_dev(other.e12),
                            self.e21.max_dev(other.e21), self.e22.max_dev(other.e22)))
 
-    def approx_eq(self, other: "QMatrix2", tol: float = DEFAULT_TOL) -> bool:
-        return self.max_dev(other) <= tol
-
     def __eq__(self, other):
         if isinstance(other, QMatrix2):
             return self.entries() == other.entries()

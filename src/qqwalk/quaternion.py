@@ -156,9 +156,6 @@ class Quaternion:
     def __hash__(self):
         return hash(self.components())
 
-    def approx_eq(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
-        return self.max_dev(other) <= tol
-
     def max_dev(self, other: "Quaternion") -> float:
         """Largest absolute componentwise difference, or NaN if any is NaN."""
         return max_or_nan((abs(self.w - other.w), abs(self.x - other.x),

@@ -236,15 +236,19 @@ def classify_measure(mu: Measure, window: int = 8,
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
+    # a finite measure is 0 outside its sites, so one site past each end
+    # stands for all of them and no scan grows with ``window`` alone
+    radius = mu.support_radius()
     if mu.periodic:
         lo = min(mu.values)
         hi = max(mu.values)
     else:
-        samples = [mu.value(x) for x in range(-window, window + 1)]
+        first, last = max(-window, mu.offset - 1), min(window, mu.offset + len(mu.values))
+        samples = [mu.value(x) for x in range(first, last + 1)] or [0.0]
         lo, hi = min(samples), max(samples)
     uniform = (hi - lo) <= tol and lo > 0.0
 
-    reach = max(window, mu.support_radius())
+    reach = min(max(window, radius), radius + 1)
     symmetric = all(abs(mu.value(x) - mu.value(-x)) <= tol
                     for x in range(1, reach + 1))
 
@@ -253,7 +257,7 @@ def classify_measure(mu: Measure, window: int = 8,
         return MeasureClass("uniform", symmetric, uniform_value=mean)
 
     if not mu.periodic and mu.value(0) > 0.0:
-        span = min(window, mu.support_radius())
+        span = min(window, radius)
         plus = _fit_exponential_side(mu, span, +1)
         minus = _fit_exponential_side(mu, span, -1)
         if plus is not None and minus is not None:

@@ -6,22 +6,21 @@ periodic block of amplitudes (translation-structured states such as the
 uniform state and the eigenstate constructions, which have infinite
 support but finite description).  Evolution is exact in both.
 
-The site amplitude is a pair (left component, right component); one step
-sends ``psiL'(x) = a psiL(x+1) + b psiR(x+1)`` and
-``psiR'(x) = c psiL(x-1) + d psiR(x-1)`` with coin entries multiplying
-from the left.
+One step sends ``psiL'(x) = a psiL(x+1) + b psiR(x+1)`` and
+``psiR'(x) = c psiL(x-1) + d psiR(x-1)``, coin entries multiplying from
+the left.  Each site is stored as one flat tuple ``(Lw, Lx, Ly, Lz, Rw,
+Rx, Ry, Rz)``.  The public constructors check their ``(Quaternion,
+Quaternion)`` pairs once, ``evolve`` trusts the step's output, and only
+``amplitude``, ``pairs`` and ``to_json`` build quaternions.  ``_step``
+spells the Hamilton products out in the operation order of
+``Quaternion.__mul__`` then ``__add__``, so every component has the bits
+of the scalar reference ``coin.matrix.apply(pair)``.
 
-That step lives in ``_coin_rows`` alone.  It spells the Hamilton products
-out on floats in exactly the operation order of ``Quaternion.__mul__``
-followed by ``__add__``, so every component has the same bits as the
-scalar product ``coin.matrix.apply(pair)``, which stays the reference.
 A walk started from a point is nonzero only where ``x = t (mod 2)``.  The
-finite window pads with the shared zero ``_ZERO``, and a pair of two
-shared zeros maps to two shared zeros without arithmetic, so the other
-sublattice costs one identity test per site and ``measure`` reads it as
+finite window pads with ``None``: two ``None`` neighbours give ``None``, one
+gives exact zeros with no arithmetic, and ``measure`` reads ``None`` as
 0.0.  This is exact because ``Coin`` admits only finite entries, for which
-``a*0`` is a zero; a zero built by arithmetic is treated as any other
-value.
+``a*0`` is a zero.  A zero pair that a caller passes in is computed with.
 """
 
 from __future__ import annotations
@@ -36,68 +35,64 @@ NORM_TOL = 1e-9
 
 AmplitudePair = tuple[Quaternion, Quaternion]
 
-_ZERO = Quaternion()
-_ZERO_PAIR: AmplitudePair = (_ZERO, _ZERO)
+_ZERO_HALF = (0.0, 0.0, 0.0, 0.0)
+_ZERO_PAIR: AmplitudePair = (Quaternion(), Quaternion())
 
 
 class NotNormalizedError(ValueError):
     """Initial spinor does not have unit norm."""
 
 
-def _coerce_pairs(pairs) -> tuple[AmplitudePair, ...]:
-    out = []
-    for pair in pairs:
-        left, right = pair
+def _flatten(pairs) -> list:
+    """Flat sites of caller-given amplitude pairs, checked once."""
+    sites = []
+    for left, right in pairs:
         if not isinstance(left, Quaternion) or not isinstance(right, Quaternion):
             raise TypeError("amplitudes must be Quaternion pairs")
-        out.append((left, right))
-    if not out:
-        raise ValueError("state needs at least one amplitude pair")
-    if all(l.norm_sq() == 0.0 and r.norm_sq() == 0.0 for l, r in out):
-        raise ValueError("state must not be identically zero")
-    return tuple(out)
+        sites.append(left.components() + right.components())
+    if not any(_weights(sites)):
+        raise ValueError("state needs at least one nonzero amplitude pair")
+    return sites
 
 
-def _coin_rows(coin: Coin, pairs) -> tuple[list[Quaternion], list[Quaternion]]:
-    """The moved rows ``a psiL + b psiR`` and ``c psiL + d psiR`` of every pair.
-
-    Site i of the first row moves one site left and site i of the second
-    one site right; the caller places them for its boundary.  Bit-identical
-    to ``coin.matrix.apply`` per pair, except that the shared zero pair
-    maps to the shared zero (see the module docstring).
-    """
-    aw, ax, ay, az = coin.a.components()
-    bw, bx, by, bz = coin.b.components()
-    cw, cx, cy, cz = coin.c.components()
-    dw, dx, dy, dz = coin.d.components()
-    zero = _ZERO
-    up = []
-    down = []
-    for l, r in pairs:
-        if l is zero and r is zero:
-            up.append(zero)
-            down.append(zero)
-            continue
-        lw, lx, ly, lz = l.w, l.x, l.y, l.z
-        rw, rx, ry, rz = r.w, r.x, r.y, r.z
-        up.append(Quaternion(
-            (aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),
-            (aw * lx + ax * lw + ay * lz - az * ly) + (bw * rx + bx * rw + by * rz - bz * ry),
-            (aw * ly - ax * lz + ay * lw + az * lx) + (bw * ry - bx * rz + by * rw + bz * rx),
-            (aw * lz + ax * ly - ay * lx + az * lw) + (bw * rz + bx * ry - by * rx + bz * rw)))
-        down.append(Quaternion(
-            (cw * lw - cx * lx - cy * ly - cz * lz) + (dw * rw - dx * rx - dy * ry - dz * rz),
-            (cw * lx + cx * lw + cy * lz - cz * ly) + (dw * rx + dx * rw + dy * rz - dz * ry),
-            (cw * ly - cx * lz + cy * lw + cz * lx) + (dw * ry - dx * rz + dy * rw + dz * rx),
-            (cw * lz + cx * ly - cy * lx + cz * lw) + (dw * rz + dx * ry - dy * rx + dz * rw)))
-    return up, down
+def _pair(site) -> AmplitudePair:
+    return _ZERO_PAIR if site is None else (Quaternion(*site[:4]), Quaternion(*site[4:]))
 
 
-def _weights(pairs) -> list[float]:
-    """Site weights ``|psiL|^2 + |psiR|^2``; the shared zero pair is 0.0 with no arithmetic."""
-    zero = _ZERO
-    return [0.0 if l is zero and r is zero else l.norm_sq() + r.norm_sq()
-            for l, r in pairs]
+def _pairs(state) -> tuple[AmplitudePair, ...]:
+    """The site amplitudes as pairs, built on each access."""
+    return tuple(map(_pair, state._sites))
+
+
+def _step(coin: Coin, lefts, rights) -> list:
+    """New site j: ``a psiL + b psiR`` of ``rights[j]``, then ``c psiL + d psiR`` of ``lefts[j]``."""
+    aw, ax, ay, az, bw, bx, by, bz = coin.a.components() + coin.b.components()
+    cw, cx, cy, cz, dw, dx, dy, dz = coin.c.components() + coin.d.components()
+    out = []
+    for s, t in zip(lefts, rights):
+        up = down = _ZERO_HALF
+        if t is not None:
+            lw, lx, ly, lz, rw, rx, ry, rz = t
+            up = ((aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),
+                  (aw * lx + ax * lw + ay * lz - az * ly) + (bw * rx + bx * rw + by * rz - bz * ry),
+                  (aw * ly - ax * lz + ay * lw + az * lx) + (bw * ry - bx * rz + by * rw + bz * rx),
+                  (aw * lz + ax * ly - ay * lx + az * lw) + (bw * rz + bx * ry - by * rx + bz * rw))
+        if s is not None:
+            lw, lx, ly, lz, rw, rx, ry, rz = s
+            down = ((cw * lw - cx * lx - cy * ly - cz * lz) + (dw * rw - dx * rx - dy * ry - dz * rz),
+                    (cw * lx + cx * lw + cy * lz - cz * ly) + (dw * rx + dx * rw + dy * rz - dz * ry),
+                    (cw * ly - cx * lz + cy * lw + cz * lx) + (dw * ry - dx * rz + dy * rw + dz * rx),
+                    (cw * lz + cx * ly - cy * lx + cz * lw) + (dw * rz + dx * ry - dy * rx + dz * rw))
+        out.append(None if s is None and t is None else up + down)
+    return out
+
+
+def _weights(sites) -> list[float]:
+    """Site weights ``|psiL|^2 + |psiR|^2`` in the ``norm_sq`` order; None is 0.0."""
+    return [0.0 if s is None else
+            (s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3])
+            + (s[4] * s[4] + s[5] * s[5] + s[6] * s[6] + s[7] * s[7])
+            for s in sites]
 
 
 def _state_json(kind: str, pairs, **fields) -> dict:
@@ -108,72 +103,77 @@ def _state_json(kind: str, pairs, **fields) -> dict:
 class FiniteSupportState:
     """Amplitudes on a dense window ``[offset, offset + len)``; zero outside."""
 
-    __slots__ = ("offset", "pairs")
+    __slots__ = ("offset", "_sites")
 
     def __init__(self, offset: int, pairs):
         self.offset = int(offset)
-        self.pairs = _coerce_pairs(pairs)
+        self._sites = _flatten(pairs)
 
     @classmethod
     def delta(cls, spinor: AmplitudePair) -> "FiniteSupportState":
         """State concentrated on the origin."""
         return cls(0, [spinor])
 
+    pairs = property(_pairs)
+
     def sites(self) -> range:
-        return range(self.offset, self.offset + len(self.pairs))
+        return range(self.offset, self.offset + len(self._sites))
 
     def amplitude(self, x: int) -> AmplitudePair:
         idx = x - self.offset
-        if 0 <= idx < len(self.pairs):
-            return self.pairs[idx]
-        return _ZERO_PAIR
+        return _pair(self._sites[idx]) if 0 <= idx < len(self._sites) else _ZERO_PAIR
 
     def evolve(self, coin: Coin) -> "FiniteSupportState":
         """One time step; the support grows by one site on each end."""
-        up, down = _coin_rows(coin, self.pairs)
-        return FiniteSupportState(self.offset - 1,
-                                  zip(up + [_ZERO, _ZERO], [_ZERO, _ZERO] + down))
+        padded = [None, None, *self._sites, None, None]
+        state = object.__new__(FiniteSupportState)  # the step's output needs no check
+        state.offset, state._sites = self.offset - 1, _step(coin, padded, padded[2:])
+        return state
 
     def measure(self) -> "Measure":
-        return Measure(_weights(self.pairs), offset=self.offset)
+        return Measure(_weights(self._sites), offset=self.offset)
 
     def norm_sq(self) -> float:
-        return sum(_weights(self.pairs))
+        return sum(_weights(self._sites))
 
     def to_json(self) -> dict:
         return _state_json("finite", self.pairs, offset=self.offset)
 
     def __repr__(self):
-        return f"FiniteSupportState(offset={self.offset}, sites={len(self.pairs)})"
+        return f"FiniteSupportState(offset={self.offset}, sites={len(self._sites)})"
 
 
 class PeriodicState:
     """One period of a state with ``psi(x) = pairs[x mod period]``."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("_sites",)
 
     def __init__(self, pairs):
-        self.pairs = _coerce_pairs(pairs)
+        self._sites = _flatten(pairs)
 
     @classmethod
     def constant(cls, spinor: AmplitudePair) -> "PeriodicState":
         """The same spinor at every site (period 1)."""
         return cls([spinor])
 
+    pairs = property(_pairs)
+
     @property
     def period(self) -> int:
-        return len(self.pairs)
+        return len(self._sites)
 
     def amplitude(self, x: int) -> AmplitudePair:
-        return self.pairs[x % len(self.pairs)]
+        return _pair(self._sites[x % len(self._sites)])
 
     def evolve(self, coin: Coin) -> "PeriodicState":
         """One time step; shift-equivariance keeps the period fixed."""
-        up, down = _coin_rows(coin, self.pairs)
-        return PeriodicState(zip(up[1:] + up[:1], down[-1:] + down[:-1]))
+        sites = self._sites
+        state = object.__new__(PeriodicState)  # the step's output needs no check
+        state._sites = _step(coin, sites[-1:] + sites[:-1], sites[1:] + sites[:1])
+        return state
 
     def measure(self) -> "Measure":
-        return Measure(_weights(self.pairs), periodic=True)
+        return Measure(_weights(self._sites), periodic=True)
 
     def to_json(self) -> dict:
         return _state_json("periodic", self.pairs, period=self.period)
@@ -302,12 +302,11 @@ def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> list[dict[in
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_normalized(spinor)
-    state = FiniteSupportState.delta(spinor)
     out = []
-    for _ in range(n_max + 1):
+    for step in range(n_max + 1):
+        state = state.evolve(coin) if step else FiniteSupportState.delta(spinor)
         mu = state.measure()
         out.append({x: p for x, p in zip(mu.sites(), mu.values) if p != 0.0})
-        state = state.evolve(coin)
     return out
 
 

@@ -5,9 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import qqwalk
 from qqwalk import QMatrix2, Quaternion, build_eigenstate_flip, preset_coin
 from qqwalk.cli import main
 
@@ -273,6 +278,41 @@ def test_classify_negative_window_exits_2(capsys):
                            "--window", "-3")
     assert code == 2
     assert "window" in err
+
+
+#: Address-space cap for the huge-window child: a few times what the
+#: interpreter needs, far below the 16 GB an unbounded window asks for.
+CHILD_AS_LIMIT = 256 * 2 ** 20
+
+
+def _cli_in_capped_child(*argv) -> subprocess.CompletedProcess:
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_LIMIT, CHILD_AS_LIMIT))
+
+    src = os.path.dirname(os.path.dirname(qqwalk.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from qqwalk.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+        preexec_fn=cap, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("measure", [
+    {"kind": "finite", "values": [1]},
+    {"kind": "finite", "offset": -3, "values": [0.5, 0, 0.5, 1, 0.5, 0, 0.5]},
+    {"kind": "periodic", "values": [1, 2]},
+])
+def test_classify_huge_window_is_bounded_by_the_support(measure):
+    # Outside its support a finite measure is 0, so a window of 10^9 sites
+    # must answer as the window 8 does; it runs in a child process under
+    # its own address-space cap so that an unbounded scan fails there.
+    outs = []
+    for window in ("8", "1000000000"):
+        proc = _cli_in_capped_child("classify", "--measure", json.dumps(measure),
+                                    "--window", window)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_dist_dead_options_are_gone(capsys):

@@ -266,3 +266,9 @@ def test_product_table_reports_its_worst_deviation():
 def test_unused_knobs_are_gone(func, name):
     # fixed at DEFAULT_TOL, WORD_CAP and the origin; no caller ever set them
     assert name not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize("cls", [Quaternion, QMatrix2])
+def test_uncalled_approx_eq_is_gone(cls):
+    # ``max_dev`` is the one comparison; nothing in the package called these
+    assert not hasattr(cls, "approx_eq")

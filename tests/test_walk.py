@@ -26,7 +26,7 @@ from qqwalk import (
     random_unitary_coin,
     state_from_json,
 )
-from qqwalk.walk import _ZERO, _ZERO_PAIR, _coin_rows
+from qqwalk.walk import _step
 
 from conftest import SQRT_HALF, assert_dist_close, assert_qclose, max_dist_dev, q
 
@@ -321,28 +321,80 @@ def test_state_json_rejects_non_finite_amplitudes():
             state_from_json(data)
 
 
+def _scalar_step(coin, old: dict, positions) -> dict:
+    """One step of the scalar reference ``coin.matrix.apply`` on a site -> pair map.
+
+    ``psiL'(x)`` comes from the pair at x+1 and ``psiR'(x)`` from the pair at
+    x-1.  A padded site (None, or absent) contributes a zero with no
+    arithmetic, and a site whose neighbours are both padded stays None.
+    """
+    new = {}
+    for x in positions:
+        left, right = old.get(x - 1), old.get(x + 1)
+        if left is None and right is None:
+            new[x] = None
+            continue
+        top = q() if right is None else coin.matrix.apply(right)[0]
+        bottom = q() if left is None else coin.matrix.apply(left)[1]
+        new[x] = (top, bottom)
+    return new
+
+
+def _assert_bits(state, reference: dict) -> None:
+    for x, pair in reference.items():
+        want = (q(), q()) if pair is None else pair
+        assert ([v.hex() for amp in state.amplitude(x) for v in amp.components()]
+                == [v.hex() for amp in want for v in amp.components()]), x
+
+
+@pytest.mark.parametrize("entries", ["real", "complex", "quaternion"])
+def test_flat_walk_is_bit_identical_to_the_scalar_walk(entries):
+    rng = Random(60)
+    coin = random_unitary_coin(rng, entries)
+    finite = FiniteSupportState.delta(random_unit_pair(rng))
+    reference = {0: finite.pairs[0]}
+    pairs = [random_unit_pair(rng) for _ in range(4)] + [(q(), q(0.0, -0.0))]
+    periodic = PeriodicState(pairs)
+    period = len(pairs)
+    for t in range(1, 41):
+        finite = finite.evolve(coin)
+        assert finite.sites() == range(-t, t + 1)
+        reference = _scalar_step(coin, reference, finite.sites())
+        _assert_bits(finite, reference)
+
+        periodic = periodic.evolve(coin)
+        wrapped = {x: pairs[x % period] for x in range(-1, period + 1)}
+        stepped = _scalar_step(coin, wrapped, range(period))
+        pairs = [stepped[x] for x in range(period)]
+        _assert_bits(periodic, dict(enumerate(pairs)))
+
+
 _component = st.floats(min_value=-2.0, max_value=2.0)
 _amplitude = st.one_of(
-    st.just(_ZERO),
-    st.builds(Quaternion),  # a fresh zero, not the shared one
+    st.builds(Quaternion),  # a zero the caller passes, which is computed with
     st.builds(Quaternion, _component, _component, _component, _component))
-_pair = st.one_of(st.just(_ZERO_PAIR), st.tuples(_amplitude, _amplitude))
+_pair = st.one_of(st.none(), st.tuples(_amplitude, _amplitude))
 
 
 @given(seed=st.integers(0, 2 ** 32),
        entries=st.sampled_from(("real", "complex", "quaternion")),
-       pairs=st.lists(_pair, min_size=1, max_size=6))
-def test_coin_rows_are_bit_identical_to_the_scalar_product(seed, entries, pairs):
+       pairs=st.lists(_pair, min_size=1, max_size=6),
+       shift=st.integers(0, 5))
+def test_coin_rows_are_bit_identical_to_the_scalar_product(seed, entries, pairs, shift):
     coin = random_unitary_coin(Random(seed), entries)
-    up, down = _coin_rows(coin, pairs)
-    for pair, top, bottom in zip(pairs, up, down):
-        if pair[0] is _ZERO and pair[1] is _ZERO:
-            assert top is _ZERO and bottom is _ZERO
+    shift %= len(pairs)
+    rights = pairs[shift:] + pairs[:shift]
+    flat = [None if pair is None else pair[0].components() + pair[1].components()
+            for pair in pairs]
+    out = _step(coin, flat, flat[shift:] + flat[:shift])
+    assert len(out) == len(pairs)
+    for left, right, got in zip(pairs, rights, out):
+        if left is None and right is None:
+            assert got is None
             continue
-        want_top, want_bottom = coin.matrix.apply(pair)
-        for got, want in ((top, want_top), (bottom, want_bottom)):
-            assert ([v.hex() for v in got.components()]
-                    == [v.hex() for v in want.components()])
+        top = q() if right is None else coin.matrix.apply(right)[0]
+        bottom = q() if left is None else coin.matrix.apply(left)[1]
+        assert [v.hex() for v in got] == [v.hex() for v in top.components() + bottom.components()]
 
 
 def test_walk_does_no_quaternion_products(monkeypatch):
