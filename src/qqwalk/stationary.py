@@ -236,21 +236,24 @@ def classify_measure(mu: Measure, window: int = 8,
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    # a finite measure is 0 outside its sites, so one site past each end
-    # stands for all of them and no scan grows with ``window`` alone
     radius = mu.support_radius()
     if mu.periodic:
         lo = min(mu.values)
         hi = max(mu.values)
+        mirrored = range(1, radius + 1)  # one period holds every residue of x
     else:
+        # a finite measure is 0 outside its sites, so one site past each end,
+        # and one x whose pair +-x misses them, stand for all the others: no
+        # scan grows with ``window`` or with the offset
         first, last = max(-window, mu.offset - 1), min(window, mu.offset + len(mu.values))
         samples = [mu.value(x) for x in range(first, last + 1)] or [0.0]
         lo, hi = min(samples), max(samples)
+        mirrored = {abs(x) for x in mu.sites()} - {0}
+        if max(window, radius) > len(mirrored):
+            mirrored.add(min(set(range(1, len(mirrored) + 2)) - mirrored))
     uniform = (hi - lo) <= tol and lo > 0.0
 
-    reach = min(max(window, radius), radius + 1)
-    symmetric = all(abs(mu.value(x) - mu.value(-x)) <= tol
-                    for x in range(1, reach + 1))
+    symmetric = all(abs(mu.value(x) - mu.value(-x)) <= tol for x in mirrored)
 
     if uniform:
         mean = (lo + hi) / 2.0

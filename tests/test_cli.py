@@ -300,12 +300,14 @@ def _cli_in_capped_child(*argv) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("measure", [
     {"kind": "finite", "values": [1]},
     {"kind": "finite", "offset": -3, "values": [0.5, 0, 0.5, 1, 0.5, 0, 0.5]},
+    {"kind": "finite", "offset": 10 ** 9, "values": [1, 2]},
     {"kind": "periodic", "values": [1, 2]},
 ])
 def test_classify_huge_window_is_bounded_by_the_support(measure):
-    # Outside its support a finite measure is 0, so a window of 10^9 sites
-    # must answer as the window 8 does; it runs in a child process under
-    # its own address-space cap so that an unbounded scan fails there.
+    # Outside its support a finite measure is 0, so a window of 10^9 sites,
+    # or a support 10^9 sites out, must answer as a window of 8 sites does;
+    # it runs in a child process under its own address-space cap and a
+    # timeout, so that a scan that grows with either fails there.
     outs = []
     for window in ("8", "1000000000"):
         proc = _cli_in_capped_child("classify", "--measure", json.dumps(measure),

@@ -351,8 +351,9 @@ def _assert_bits(state, reference: dict) -> None:
 def test_flat_walk_is_bit_identical_to_the_scalar_walk(entries):
     rng = Random(60)
     coin = random_unitary_coin(rng, entries)
-    finite = FiniteSupportState.delta(random_unit_pair(rng))
-    reference = {0: finite.pairs[0]}
+    spinor = random_unit_pair(rng)
+    finite = FiniteSupportState.delta(spinor)
+    reference = {0: spinor}
     pairs = [random_unit_pair(rng) for _ in range(4)] + [(q(), q(0.0, -0.0))]
     periodic = PeriodicState(pairs)
     period = len(pairs)
