@@ -27,7 +27,7 @@ from .pathsum import (
 )
 from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, parse_quaternion
 from .stationary import EigenCandidate, classify_measure, right_eigen_check
-from .verify import run_suites
+from .verify import SUITES, run_suites
 from .walk import PeriodicState, distributions, measure_from_json, state_from_json
 
 EXIT_OK = 0
@@ -195,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     xi.set_defaults(handler=_cmd_xi)
 
     verify = sub.add_parser("verify", help="run seeded verification suites")
-    verify.add_argument("--suite", default="all",
-                        choices=("all", "unitary", "pqrs", "stationary",
-                                 "eigen", "theorem1"))
+    verify.add_argument("--suite", default="all", choices=("all", *SUITES))
     verify.add_argument("--seed", type=int,
                         help="suite seed (default: QQWALK_SEED, else 0)")
     verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)

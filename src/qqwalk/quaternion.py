@@ -19,11 +19,18 @@ DEFAULT_TOL = 1e-10
 
 
 def _json_cast(cast, value, what: str):
-    """``cast(value)``, or ValueError naming ``what`` for null, array or too large values."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    """A JSON number as ``cast``: ``int`` takes integers only, ``float`` integers or floats.
+
+    A boolean, a string, null, an array or an integer too large for a float
+    is a ValueError naming ``what``.
+    """
+    if not isinstance(value, bool) and isinstance(value, int if cast is int else (int, float)):
+        try:
+            return cast(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be {'an integer' if cast is int else 'a number'}, "
+                     f"got {value!r}")
 
 
 def max_or_nan(values) -> float:

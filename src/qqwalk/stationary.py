@@ -231,36 +231,35 @@ def classify_measure(mu: Measure, window: int = 8,
     Uniform takes precedence over the exponential profile
     ``mu(x) = C_+- gamma^(-|x|)`` (fitted by least squares on log values,
     gamma in (0,1), residual within ``EXP_FIT_TOL``).  Periodic measures
-    are never exponential by construction.  Symmetry is an independent
-    flag checked across the window and the full represented support.
+    are never exponential by construction.  Symmetry under ``x -> -x`` is
+    an independent flag read over the measure's own sites: one period
+    holds every residue of x, and a finite measure is 0 elsewhere, so no
+    scan grows with ``window`` or with the offset.
+
+    Raises:
+        ValueError: ``window`` is negative, or ``tol`` is not finite and >= 0.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    radius = mu.support_radius()
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if mu.periodic:
-        lo = min(mu.values)
-        hi = max(mu.values)
-        mirrored = range(1, radius + 1)  # one period holds every residue of x
+        lo, hi = min(mu.values), max(mu.values)
     else:
-        # a finite measure is 0 outside its sites, so one site past each end,
-        # and one x whose pair +-x misses them, stand for all the others: no
-        # scan grows with ``window`` or with the offset
+        # one site past each end stands for every site outside the support
         first, last = max(-window, mu.offset - 1), min(window, mu.offset + len(mu.values))
         samples = [mu.value(x) for x in range(first, last + 1)] or [0.0]
         lo, hi = min(samples), max(samples)
-        mirrored = {abs(x) for x in mu.sites()} - {0}
-        if max(window, radius) > len(mirrored):
-            mirrored.add(min(set(range(1, len(mirrored) + 2)) - mirrored))
     uniform = (hi - lo) <= tol and lo > 0.0
 
-    symmetric = all(abs(mu.value(x) - mu.value(-x)) <= tol for x in mirrored)
+    symmetric = all(abs(mu.value(x) - mu.value(-x)) <= tol for x in mu.sites())
 
     if uniform:
         mean = (lo + hi) / 2.0
         return MeasureClass("uniform", symmetric, uniform_value=mean)
 
     if not mu.periodic and mu.value(0) > 0.0:
-        span = min(window, radius)
+        span = min(window, max(-mu.offset, mu.offset + len(mu.values) - 1))
         plus = _fit_exponential_side(mu, span, +1)
         minus = _fit_exponential_side(mu, span, -1)
         if plus is not None and minus is not None:

@@ -238,16 +238,11 @@ SUITES = {
     "theorem1": suite_theorem1,
 }
 
-SUITE_ORDER = ("unitary", "pqrs", "stationary", "eigen", "theorem1")
-
 
 def run_suites(name: str, seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or all of them in the order of ``SUITES``."""
     if name == "all":
-        reports = []
-        for suite_name in SUITE_ORDER:
-            reports.extend(SUITES[suite_name](seed=seed, tol=tol))
-        return reports
+        return [report for suite in SUITES.values() for report in suite(seed=seed, tol=tol)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; "
                          f"available: all, {', '.join(sorted(SUITES))}")

@@ -205,18 +205,20 @@ def state_from_json(data: dict) -> WalkState:
 
 
 class Measure:
-    """Nonnegative weight per site, on a finite window or one period."""
+    """Nonnegative weight per site, on a finite window or one period.
+
+    The values must be finite, nonnegative and not all zero, and the
+    constructor checks that once, with builtin passes: a NaN anywhere
+    makes the sum NaN, and ``min``/``max`` catch a negative or infinite
+    value wherever it sits.
+    """
 
     __slots__ = ("values", "offset", "periodic")
 
     def __init__(self, values, offset: int = 0, periodic: bool = False):
-        vals = tuple(float(v) for v in values)
-        if not vals:
-            raise ValueError("measure needs at least one value")
-        if any(not 0.0 <= v < math.inf for v in vals):
-            raise ValueError("measure values must be finite and nonnegative")
-        if all(v == 0.0 for v in vals):
-            raise ValueError("measure must not be identically zero")
+        vals = tuple(map(float, values))
+        if not (vals and min(vals) >= 0.0 and max(vals) < math.inf and sum(vals) > 0.0):
+            raise ValueError("measure values must be finite, nonnegative and not all zero")
         self.values = vals
         self.offset = int(offset)
         self.periodic = bool(periodic)
@@ -243,11 +245,6 @@ class Measure:
     def total(self) -> float:
         """Sum over the window (finite) or one period (periodic)."""
         return sum(self.values)
-
-    def support_radius(self) -> int:
-        if self.periodic:
-            return len(self.values)
-        return max(abs(self.offset), abs(self.offset + len(self.values) - 1))
 
     def max_dev(self, other: "Measure") -> float:
         """Largest absolute sitewise difference, over both windows or one period."""

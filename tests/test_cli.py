@@ -421,10 +421,22 @@ def test_verify_reports_are_byte_stable(capsys, seed, digest):
     ["dist", "--coin", "hadamard", "--init", "[[1,0,0,null],[0,0,0,0]]"],
     ["dist", "--coin", "hadamard", "--init", "[[1,0,0,1%s],[0,0,0,0]]" % ("0" * 400)],
     ["classify", "--measure", '{"kind":"finite","values":[1%s]}' % ("0" * 400)],
+    ["classify", "--measure", '{"kind":"finite","values":[1,2],"offset":-1.5}'],
+    ["classify", "--measure", '{"kind":"finite","values":[1,2],"offset":"-1"}'],
+    ["classify", "--measure", '{"kind":"finite","values":[1,"2"]}'],
+    ["classify", "--measure", '{"kind":"periodic","values":[1,true]}'],
+    ["eigen-check", "--coin", "flip", "--eigenvalue", "1",
+     "--state", '{"kind":"periodic","period":2.5,"amplitudes":'
+                '[[[1,0,0,0],[1,0,0,0]],[[1,0,0,0],[1,0,0,0]]]}'],
+    ["xi", "--coin", '{"a":[true,0,0,0],"b":[0,0,0,0],"c":[0,0,0,0],"d":[1,0,0,0]}',
+     "-n", "2", "-l", "1", "-m", "1"],
+    ["dist", "--coin", "hadamard", "--init", '[[1,0,0,"0"],[0,0,0,0]]'],
 ], ids=["measure-values-not-array", "measure-offset-null", "measure-value-null",
         "state-pair-not-array", "state-period-null", "state-offset-array",
         "coin-component-null", "spinor-component-null", "spinor-component-huge",
-        "measure-value-huge"])
+        "measure-value-huge", "measure-offset-fractional", "measure-offset-string",
+        "measure-value-string", "measure-value-boolean", "state-period-fractional",
+        "coin-component-boolean", "spinor-component-string"])
 def test_malformed_json_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -436,7 +448,11 @@ def test_malformed_json_exits_2(capsys, argv):
     {"coin": 5},
     {"coin": "hadamard", "init": 7},
     {"coin": "hadamard", "steps": 1e400},
-], ids=["steps-null", "coin-number", "init-number", "steps-infinite"])
+    {"coin": "hadamard", "steps": 2.9},
+    {"coin": "hadamard", "steps": True},
+    {"coin": "hadamard", "steps": "3"},
+], ids=["steps-null", "coin-number", "init-number", "steps-infinite",
+        "steps-fractional", "steps-boolean", "steps-string"])
 def test_malformed_config_file_exits_2(capsys, tmp_path, config):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))

@@ -218,6 +218,35 @@ def test_classify_eigenstate_measure():
     assert klass.kind == "other"
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_classify_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    for mu in (Measure([1.0, 2.0], offset=-1), Measure([1.0, 2.0], periodic=True)):
+        with pytest.raises(ValueError, match="tol"):
+            classify_measure(mu, window=4, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 0.5])
+def test_classify_symmetry_equals_a_brute_force_scan(tol):
+    # R is the largest |site| of a finite measure, or one period
+    rng = Random(2026)
+    for _ in range(300):
+        size = rng.randint(1, 7)
+        values = [rng.choice([0.0, 0.25, 1.0, 1.0 + 1e-11, rng.random()]) for _ in range(size)]
+        values[rng.randrange(size)] = 1.0
+        if rng.random() < 0.5:
+            values = values + values[-2::-1]
+        if rng.random() < 0.4:
+            mu, radius = Measure(values, periodic=True), len(values)
+        else:
+            offset = rng.choice([-(len(values) // 2), rng.randint(-12, 12)])
+            mu = Measure(values, offset=offset)
+            radius = max(abs(offset), abs(offset + len(values) - 1))
+        expected = all(abs(mu.value(x) - mu.value(-x)) <= tol
+                       for x in range(-radius - 1, radius + 2))
+        for window in (0, 3, 20):
+            assert classify_measure(mu, window, tol).symmetric == expected
+
+
 def test_polar_round_trip():
     rng = Random(43)
     for _ in range(50):

@@ -284,6 +284,31 @@ def test_measure_validation():
         Measure([math.inf, 1.0, math.inf])
 
 
+def _old_measure_checks_pass(values) -> bool:
+    """The three separate checks ``Measure`` made before its single predicate."""
+    vals = tuple(float(v) for v in values)
+    return (bool(vals) and all(0.0 <= v < math.inf for v in vals)
+            and not all(v == 0.0 for v in vals))
+
+
+_measure_values = st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, 5e-324,
+                     -5e-324, 2.2e-308]),
+), max_size=8)
+
+
+@given(values=_measure_values)
+def test_measure_predicate_matches_the_old_checks(values):
+    try:
+        Measure(values)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == _old_measure_checks_pass(values)
+
+
 def test_measure_comparison_across_offsets():
     one = Measure([0.0, 1.0, 0.0], offset=-1)
     other = Measure([1.0], offset=0)
