@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .coin import NotUnitaryError, coin_from_spec
+from .coin import NotUnitaryError, _load_json, coin_from_spec
 from .pathsum import (
     CapExceededError,
     decompose_pqrs,
@@ -27,7 +27,7 @@ from .pathsum import (
 )
 from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, parse_quaternion
 from .stationary import EigenCandidate, classify_measure, right_eigen_check
-from .verify import SUITES, run_suites
+from .verify import SUITES, _report, run_suites
 from .walk import PeriodicState, distributions, measure_from_json, state_from_json
 
 EXIT_OK = 0
@@ -67,17 +67,6 @@ def _tolerance(text: str) -> float:
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
-
-
-def _load_json_arg(text: str):
-    """Inline JSON (starts with '{' or '[') or a path to a JSON file."""
-    stripped = text.strip()
-    if stripped.startswith(("{", "[")):
-        return json.loads(stripped)
-    if os.path.exists(stripped):
-        with open(stripped, encoding="utf-8") as fh:
-            return json.load(fh)
-    raise ValueError(f"{text!r} is neither inline JSON nor an existing file")
 
 
 def _resolve_run_config(args) -> RunConfig:
@@ -149,7 +138,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    measure = measure_from_json(_load_json_arg(args.measure))
+    measure = measure_from_json(_load_json(args.measure))
     klass = classify_measure(measure, window=args.window, tol=args.tol)
     print(json.dumps(klass.to_json()))
     return EXIT_OK
@@ -157,15 +146,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_eigen_check(args) -> int:
     coin = coin_from_spec(args.coin)
-    state = state_from_json(_load_json_arg(args.state))
+    state = state_from_json(_load_json(args.state))
     if not isinstance(state, PeriodicState):
         raise ValueError("eigen-check needs a periodic state")
     lam = parse_quaternion(args.eigenvalue)
     candidate = EigenCandidate(state, lam)
     passed, residual = right_eigen_check(coin, candidate, args.tol)
-    print(json.dumps({"check": "right-eigenpair", "pass": passed,
-                      "max_residual": residual,
-                      "params": {"eigenvalue": lam.to_json(), "tol": args.tol}}))
+    print(json.dumps(_report("right-eigenpair", passed, residual,
+                             eigenvalue=lam.to_json(), tol=args.tol)))
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
@@ -175,6 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quaternionic quantum walks on the integer line: "
                     "simulate, enumerate path sums, and verify.")
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     dist = sub.add_parser("dist", help="position distributions for n = 0..steps")
     dist.add_argument("--coin", help="preset name, inline JSON, or JSON file")
@@ -184,37 +174,33 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--config", help="JSON config file (flags override it)")
     dist.set_defaults(handler=_cmd_dist)
 
-    xi = sub.add_parser("xi", help="path-sum operator for one step split")
+    xi = sub.add_parser("xi", parents=[tol], help="path-sum operator for one step split")
     xi.add_argument("--coin", required=True)
     xi.add_argument("-n", type=int, required=True, help="total steps")
     xi.add_argument("-l", type=int, required=True, help="left steps")
     xi.add_argument("-m", type=int, required=True, help="right steps")
     xi.add_argument("--mode", choices=("brute", "reduced", "decompose"),
                     default="brute")
-    xi.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     xi.set_defaults(handler=_cmd_xi)
 
-    verify = sub.add_parser("verify", help="run seeded verification suites")
+    verify = sub.add_parser("verify", parents=[tol], help="run seeded verification suites")
     verify.add_argument("--suite", default="all", choices=("all", *SUITES))
     verify.add_argument("--seed", type=int,
                         help="suite seed (default: QQWALK_SEED, else 0)")
-    verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     verify.set_defaults(handler=_cmd_verify)
 
-    classify = sub.add_parser("classify", help="classify a measure")
+    classify = sub.add_parser("classify", parents=[tol], help="classify a measure")
     classify.add_argument("--measure", required=True,
                           help="measure JSON (inline or file)")
     classify.add_argument("--window", type=int, default=8)
-    classify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     classify.set_defaults(handler=_cmd_classify)
 
-    eigen = sub.add_parser("eigen-check", help="verify a right eigenpair")
+    eigen = sub.add_parser("eigen-check", parents=[tol], help="verify a right eigenpair")
     eigen.add_argument("--coin", required=True)
     eigen.add_argument("--state", required=True,
                        help="periodic state JSON (inline or file)")
     eigen.add_argument("--eigenvalue", required=True,
                        help="quaternion text, e.g. '0+1i+0j+0k'")
-    eigen.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     eigen.set_defaults(handler=_cmd_eigen_check)
 
     return parser
@@ -230,7 +216,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"qqwalk: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"qqwalk: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

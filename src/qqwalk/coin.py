@@ -303,16 +303,22 @@ def coin_from_json(data: dict) -> Coin:
     return Coin(QMatrix2(a, b, c, d))
 
 
+def _load_json(text: str):
+    """Inline JSON (starts with '{' or '[') or a path to a JSON file."""
+    stripped = text.strip()
+    if stripped.startswith(("{", "[")):
+        return json.loads(stripped)
+    if os.path.exists(stripped):
+        with open(stripped, encoding="utf-8") as fh:
+            return json.load(fh)
+    raise ValueError(f"{text!r} is neither inline JSON nor an existing file")
+
+
 def coin_from_spec(spec: str) -> Coin:
     """Resolve a preset name, inline JSON object, or path to a JSON file."""
     if spec in _preset_matrices():
         return preset_coin(spec)
-    if spec.lstrip().startswith("{"):
-        return coin_from_json(json.loads(spec))
-    if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return coin_from_json(json.load(fh))
-    raise ValueError(f"coin spec {spec!r} is not a preset, inline JSON, or file")
+    return coin_from_json(_load_json(spec))
 
 
 def _random_entry(rng: Random, entries: str) -> Quaternion:

@@ -327,7 +327,8 @@ def effective_phase_cosine(polar: PolarInitialState) -> float:
     This is the only trace the quaternion phases leave in the position law
     of a real-coin walk; its magnitude never exceeds 1.
     """
-    overlap = sum(u * v for u, v in zip(polar.axis_alpha, polar.axis_beta))
+    (ax, ay, az), (bx, by, bz) = polar.axis_alpha, polar.axis_beta
+    overlap = 0.0 + ax * bx + ay * by + az * bz  # a left fold, as sum() was before 3.12
     value = (math.cos(polar.theta_alpha) * math.cos(polar.theta_beta)
              + overlap * math.sin(polar.theta_alpha) * math.sin(polar.theta_beta))
     if not abs(value) <= 1.0 + 1e-9:

@@ -95,9 +95,26 @@ def _weights(sites) -> list[float]:
             for s in sites]
 
 
-def _state_json(kind: str, pairs, **fields) -> dict:
-    return {"kind": kind, **fields,
-            "amplitudes": [[l.to_json(), r.to_json()] for l, r in pairs]}
+def _layout_json(periodic: bool, offset: int, key: str, items: list) -> dict:
+    """The layout ``_read_layout`` reads, keys in the order kind, offset or period, ``key``."""
+    if periodic:
+        return {"kind": "periodic", "period": len(items), key: items}
+    return {"kind": "finite", "offset": offset, key: items}
+
+
+def _read_layout(data, what: str, key: str) -> tuple[bool, int, list]:
+    """``(periodic, offset, items)``; periodic has offset 0 and a declared period must match."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in ("finite", "periodic"):
+        raise ValueError(f"{what} JSON needs kind 'finite' or 'periodic', got {kind!r}")
+    items = data.get(key)
+    if not isinstance(items, list):
+        raise ValueError(f"{what} {key} must be an array, got {items!r}")
+    if kind == "finite":
+        return False, _json_cast(int, data.get("offset", 0), "offset"), items
+    if "period" in data and _json_cast(int, data["period"], "period") != len(items):
+        raise ValueError(f"declared period does not match the {len(items)} {what} {key}")
+    return True, 0, items
 
 
 class FiniteSupportState:
@@ -137,7 +154,8 @@ class FiniteSupportState:
         return sum(_weights(self._sites))
 
     def to_json(self) -> dict:
-        return _state_json("finite", self.pairs, offset=self.offset)
+        return _layout_json(False, self.offset, "amplitudes",
+                            [[l.to_json(), r.to_json()] for l, r in self.pairs])
 
     def __repr__(self):
         return f"FiniteSupportState(offset={self.offset}, sites={len(self._sites)})"
@@ -176,7 +194,8 @@ class PeriodicState:
         return Measure(_weights(self._sites), periodic=True)
 
     def to_json(self) -> dict:
-        return _state_json("periodic", self.pairs, period=self.period)
+        return _layout_json(True, 0, "amplitudes",
+                            [[l.to_json(), r.to_json()] for l, r in self.pairs])
 
     def __repr__(self):
         return f"PeriodicState(period={self.period})"
@@ -186,22 +205,13 @@ WalkState = FiniteSupportState | PeriodicState
 
 
 def state_from_json(data: dict) -> WalkState:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("state JSON needs a 'kind' tag")
-    amplitudes = data.get("amplitudes", [])
-    if not (isinstance(amplitudes, list)
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in amplitudes)):
+    periodic, offset, amplitudes = _read_layout(data, "state", "amplitudes")
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in amplitudes):
         raise ValueError("state amplitudes must be an array of [left, right] pairs")
     pairs = [(Quaternion.from_json(l), Quaternion.from_json(r)) for l, r in amplitudes]
     if not all(math.isfinite(v) for pair in pairs for amp in pair for v in amp.components()):
         raise ValueError("state amplitudes must be finite")
-    if data["kind"] == "finite":
-        return FiniteSupportState(_json_cast(int, data.get("offset", 0), "offset"), pairs)
-    if data["kind"] == "periodic":
-        if "period" in data and _json_cast(int, data["period"], "period") != len(pairs):
-            raise ValueError("declared period does not match the amplitude count")
-        return PeriodicState(pairs)
-    raise ValueError(f"unknown state kind {data['kind']!r}")
+    return PeriodicState(pairs) if periodic else FiniteSupportState(offset, pairs)
 
 
 class Measure:
@@ -260,10 +270,7 @@ class Measure:
         return self.max_dev(other) <= tol
 
     def to_json(self) -> dict:
-        if self.periodic:
-            return {"kind": "periodic", "period": len(self.values),
-                    "values": list(self.values)}
-        return {"kind": "finite", "offset": self.offset, "values": list(self.values)}
+        return _layout_json(self.periodic, self.offset, "values", list(self.values))
 
     def __repr__(self):
         tag = "periodic" if self.periodic else f"offset={self.offset}"
@@ -271,17 +278,9 @@ class Measure:
 
 
 def measure_from_json(data: dict) -> Measure:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("measure JSON needs a 'kind' tag")
-    values = data.get("values")
-    if not isinstance(values, list):
-        raise ValueError(f"measure values must be an array, got {values!r}")
-    values = [_json_cast(float, v, "measure value") for v in values]
-    if data["kind"] == "finite":
-        return Measure(values, offset=_json_cast(int, data.get("offset", 0), "offset"))
-    if data["kind"] == "periodic":
-        return Measure(values, periodic=True)
-    raise ValueError(f"unknown measure kind {data['kind']!r}")
+    periodic, offset, values = _read_layout(data, "measure", "values")
+    return Measure([_json_cast(float, v, "measure value") for v in values],
+                   offset=offset, periodic=periodic)
 
 
 def _check_normalized(spinor: AmplitudePair) -> None:
@@ -336,7 +335,10 @@ def random_unit_pair(rng) -> AmplitudePair:
     """Uniform random spinor with |alpha|^2 + |beta|^2 = 1."""
     while True:
         comps = [rng.gauss(0.0, 1.0) for _ in range(8)]
-        norm = sum(v * v for v in comps) ** 0.5
+        norm = 0.0
+        for v in comps:  # a left fold: the builtin sum rounds differently from 3.12 on
+            norm += v * v
+        norm = norm ** 0.5
         if norm > 1e-6:
             alpha = Quaternion(*comps[:4]) / norm
             beta = Quaternion(*comps[4:]) / norm

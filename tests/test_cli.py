@@ -364,6 +364,17 @@ def test_tol_must_be_finite_and_nonnegative(capsys):
             assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, tol, count", [("pqrs", "1e-16", 4), ("all", "0", 13)])
+def test_tight_verify_tol_fails_reports_instead_of_raising(capsys, suite, tol, count):
+    # residuals of a few ulps fail a tol below them: exit 1 with every report
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "0", "--tol", tol)
+    assert code == 1 and err == ""
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == count
+    failed = {r["check"] for r in reports if not r["pass"]}
+    assert {"word-reduction-oracle", "pqrs-round-trip"} <= failed
+
+
 @pytest.mark.parametrize("coin, l, mode, digest", [
     ("example-ijk", 6, "brute",
      "0c04be08ff90b935bfe61617e0e2c3a373ac301b73a5203d045c5d9577722efb"),
@@ -431,12 +442,16 @@ def test_verify_reports_are_byte_stable(capsys, seed, digest):
     ["xi", "--coin", '{"a":[true,0,0,0],"b":[0,0,0,0],"c":[0,0,0,0],"d":[1,0,0,0]}',
      "-n", "2", "-l", "1", "-m", "1"],
     ["dist", "--coin", "hadamard", "--init", '[[1,0,0,"0"],[0,0,0,0]]'],
+    ["classify", "--measure", '{"kind":"periodic","period":5,"values":[1,2]}'],
+    ["eigen-check", "--coin", "flip", "--eigenvalue", "1",
+     "--state", '{"kind":"periodic","period":1}'],
 ], ids=["measure-values-not-array", "measure-offset-null", "measure-value-null",
         "state-pair-not-array", "state-period-null", "state-offset-array",
         "coin-component-null", "spinor-component-null", "spinor-component-huge",
         "measure-value-huge", "measure-offset-fractional", "measure-offset-string",
         "measure-value-string", "measure-value-boolean", "state-period-fractional",
-        "coin-component-boolean", "spinor-component-string"])
+        "coin-component-boolean", "spinor-component-string", "measure-period-mismatch",
+        "state-amplitudes-missing"])
 def test_malformed_json_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

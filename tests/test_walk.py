@@ -262,6 +262,25 @@ def test_state_json_round_trip():
     assert isinstance(again, PeriodicState)
     assert again.pairs == per.pairs
 
+    # an interior zero pair passed in, and the unwritten wrong-parity site of a step
+    zero = (q(), q())
+    for fin in (FiniteSupportState(-3, [random_unit_pair(rng), zero, random_unit_pair(rng)]),
+                FiniteSupportState(-1, [up_spinor()]).evolve(preset_coin("hadamard"))):
+        data = fin.to_json()
+        assert list(data) == ["kind", "offset", "amplitudes"] and data["offset"] < 0
+        assert data["amplitudes"][1] == [[0.0] * 4] * 2
+        assert state_from_json(data).to_json() == data
+
+    data = {"kind": "periodic", "period": 2,
+            "amplitudes": [[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                           [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]]}
+    assert list(state_from_json(data).to_json().items()) == list(data.items())
+
+
+def test_state_json_names_a_missing_amplitudes_array():
+    with pytest.raises(ValueError, match="state amplitudes must be an array"):
+        state_from_json({"kind": "periodic"})
+
 
 def test_measure_json_round_trip():
     mu = Measure([0.5, 0.0, 1.5], offset=-1)
@@ -271,6 +290,11 @@ def test_measure_json_round_trip():
     mu = Measure([2.0, 5.0, 8.0, 5.0], periodic=True)
     again = measure_from_json(mu.to_json())
     assert again.periodic and again.values == mu.values
+
+    data = {"kind": "periodic", "period": 3, "values": [1.0, 0.0, 2.0]}
+    assert list(measure_from_json(data).to_json().items()) == list(data.items())
+    data = {"kind": "finite", "offset": -4, "values": [0.25, 0.0, 0.0, 0.75]}
+    assert list(measure_from_json(data).to_json().items()) == list(data.items())
 
 
 def test_measure_validation():
