@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .coin import NotUnitaryError, _load_json, coin_from_spec
 from .pathsum import (
@@ -37,28 +36,13 @@ EXIT_NOT_UNITARY = 3
 EXIT_CAP = 4
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for a walk run (flags override config-file values)."""
-
-    coin: str
-    init: str = "1,0"
-    steps: int = 0
-    output: str = "csv"
-
-
 def _parse_spinor(text: str) -> tuple[Quaternion, Quaternion]:
-    """Initial spinor: JSON pair of 4-arrays, or two text quaternions split on ','."""
+    """Initial spinor: JSON pair of quaternions, or two text quaternions split on ','."""
     stripped = text.strip()
-    if stripped.startswith("["):
-        data = json.loads(stripped)
-        if not isinstance(data, list) or len(data) != 2:
-            raise ValueError("initial spinor JSON must be a pair of quaternions")
-        return Quaternion.from_json(data[0]), Quaternion.from_json(data[1])
-    parts = stripped.split(",")
+    parts = _load_json(stripped) if stripped.startswith("[") else stripped.split(",")
     if len(parts) != 2:
-        raise ValueError("initial spinor text must be 'alpha,beta'")
-    return parse_quaternion(parts[0]), parse_quaternion(parts[1])
+        raise ValueError("initial spinor must be 'alpha,beta' or a JSON pair of quaternions")
+    return Quaternion.from_json(parts[0]), Quaternion.from_json(parts[1])
 
 
 def _tolerance(text: str) -> float:
@@ -69,13 +53,18 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _resolve_run_config(args) -> RunConfig:
-    values = {}
+def _resolve_run_config(args) -> tuple[str, str, int, str]:
+    """Coin, init, steps and output format; flags override config-file values."""
+    values = {"init": "1,0", "steps": 0, "output": "csv"}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(loaded.keys() - {"coin", *values})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)} "
+                             f"(known: {', '.join(['coin', *values])})")
         values.update(loaded)
     for key, flag in (("coin", args.coin), ("init", args.init),
                       ("steps", args.steps), ("output", args.format)):
@@ -84,29 +73,25 @@ def _resolve_run_config(args) -> RunConfig:
     if "coin" not in values:
         raise ValueError("a coin is required (--coin or config file)")
     for key in ("coin", "init"):
-        if key in values and not isinstance(values[key], str):
+        if not isinstance(values[key], str):
             raise ValueError(f"{key} must be a string, got {values[key]!r}")
-    values["steps"] = _json_cast(int, values.get("steps", 0), "steps")
-    cfg = RunConfig(**{k: v for k, v in values.items()
-                       if k in RunConfig.__dataclass_fields__})
-    if cfg.steps < 0:
+    steps = _json_cast(int, values["steps"], "steps")
+    if steps < 0:
         raise ValueError("steps must be >= 0")
-    if cfg.output not in ("csv", "json"):
+    if values["output"] not in ("csv", "json"):
         raise ValueError("output format must be csv or json")
-    return cfg
+    return values["coin"], values["init"], steps, values["output"]
 
 
 def _cmd_dist(args) -> int:
-    cfg = _resolve_run_config(args)
-    coin = coin_from_spec(cfg.coin)
-    spinor = _parse_spinor(cfg.init)
-    series = distributions(coin, spinor, cfg.steps)
-    if cfg.output == "csv":
+    coin, init, steps, output = _resolve_run_config(args)
+    series = distributions(coin_from_spec(coin), _parse_spinor(init), steps)
+    if output == "csv":
         print("n,x,probability")
         for n, dist in enumerate(series):
-            print("\n".join([f"{n},{x},{dist[x]!r}" for x in sorted(dist)]))
+            print("\n".join([f"{n},{x},{p!r}" for x, p in dist.items()]))
     else:
-        payload = [{"n": n, "dist": {str(x): dist[x] for x in sorted(dist)}}
+        payload = [{"n": n, "dist": {str(x): p for x, p in dist.items()}}
                    for n, dist in enumerate(series)]
         print(json.dumps(payload))
     return EXIT_OK
@@ -114,12 +99,19 @@ def _cmd_dist(args) -> int:
 
 def _cmd_xi(args) -> int:
     coin = coin_from_spec(args.coin)
-    if args.mode == "decompose":
-        matrix = path_sum(coin, args.n, args.l, args.m)
-        print(json.dumps(decompose_pqrs(coin, matrix, args.tol).to_json()))
-    else:
+    if args.mode != "decompose":
+        # a --tol on the command line is a new float, never the shared default
+        if args.tol is not DEFAULT_TOL:
+            raise ValueError("--tol applies only to --mode decompose")
         evaluate = path_sum_bruteforce if args.mode == "brute" else path_sum_reduced
         print(json.dumps(evaluate(coin, args.n, args.l, args.m).to_json()))
+        return EXIT_OK
+    deco = decompose_pqrs(coin, path_sum(coin, args.n, args.l, args.m), math.inf)
+    print(json.dumps(deco.to_json()))
+    if not deco.residual <= args.tol:
+        print(f"qqwalk: reconstruction residual {deco.residual!r} exceeds "
+              f"--tol {args.tol!r}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 
@@ -216,7 +208,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"qqwalk: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"qqwalk: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -311,14 +311,19 @@ def _load_json(text: str):
     if os.path.exists(stripped):
         with open(stripped, encoding="utf-8") as fh:
             return json.load(fh)
-    raise ValueError(f"{text!r} is neither inline JSON nor an existing file")
+    raise FileNotFoundError(f"{text!r} is neither inline JSON nor an existing file")
 
 
 def coin_from_spec(spec: str) -> Coin:
     """Resolve a preset name, inline JSON object, or path to a JSON file."""
     if spec in _preset_matrices():
         return preset_coin(spec)
-    return coin_from_json(_load_json(spec))
+    try:
+        data = _load_json(spec)
+    except FileNotFoundError:
+        raise ValueError(f"{spec!r} is neither a coin preset ({', '.join(PRESET_NAMES)}) "
+                         "nor inline JSON nor an existing file") from None
+    return coin_from_json(data)
 
 
 def _random_entry(rng: Random, entries: str) -> Quaternion:

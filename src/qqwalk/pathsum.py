@@ -219,11 +219,12 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2,
                    tol: float = DEFAULT_TOL) -> PQRSDecomposition:
     """Extract left coefficients so that ``matrix = pP + qQ + rR + sS``.
 
-    Row orthonormality of the unitary coin gives projection formulas that
-    stay valid for noncommutative coefficients: the top row of the matrix
-    is ``p (a, b) + r (c, d)``, and right-multiplying by conjugated coin
-    entries isolates each coefficient.  The reconstruction residual comes
-    back with them; above ``tol`` it means the rows were not in the span.
+    The top row of the matrix is ``p (a, b) + r (c, d)`` and the bottom row
+    is ``s (a, b) + q (c, d)``.  The rows of a unitary coin U are a left
+    basis, with ``(p, r) = row · U*``, so for a validated ``Coin`` every
+    2x2 quaternion matrix lies in the split span.  The reconstruction
+    residual that comes back with the coefficients therefore measures
+    rounding, or a NaN, and that is what ``qqwalk xi --tol`` judges.
 
     Raises:
         NotInSpanError: reconstruction residual exceeds ``tol``.

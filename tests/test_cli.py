@@ -445,13 +445,17 @@ def test_verify_reports_are_byte_stable(capsys, seed, digest):
     ["classify", "--measure", '{"kind":"periodic","period":5,"values":[1,2]}'],
     ["eigen-check", "--coin", "flip", "--eigenvalue", "1",
      "--state", '{"kind":"periodic","period":1}'],
+    ["dist", "--coin", "hadamard", "--init", "1,0,0"],
+    ["dist", "--coin", "hadamard", "--init", ","],
+    ["dist", "--coin", "hadamard", "--init", "[[1,0,0,0]]"],
 ], ids=["measure-values-not-array", "measure-offset-null", "measure-value-null",
         "state-pair-not-array", "state-period-null", "state-offset-array",
         "coin-component-null", "spinor-component-null", "spinor-component-huge",
         "measure-value-huge", "measure-offset-fractional", "measure-offset-string",
         "measure-value-string", "measure-value-boolean", "state-period-fractional",
         "coin-component-boolean", "spinor-component-string", "measure-period-mismatch",
-        "state-amplitudes-missing"])
+        "state-amplitudes-missing", "spinor-text-three-parts", "spinor-text-empty-parts",
+        "spinor-json-one-entry"])
 def test_malformed_json_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -466,11 +470,82 @@ def test_malformed_json_exits_2(capsys, argv):
     {"coin": "hadamard", "steps": 2.9},
     {"coin": "hadamard", "steps": True},
     {"coin": "hadamard", "steps": "3"},
+    {"coin": "hadamard", "stepz": 3},
+    {"coin": "hadamard", "format": "json"},
 ], ids=["steps-null", "coin-number", "init-number", "steps-infinite",
-        "steps-fractional", "steps-boolean", "steps-string"])
+        "steps-fractional", "steps-boolean", "steps-string", "unknown-key-stepz",
+        "unknown-key-format"])
 def test_malformed_config_file_exits_2(capsys, tmp_path, config):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "dist", "--config", str(path))
     assert code == 2
     assert out == "" and "invalid configuration" in err
+
+
+def test_unknown_config_keys_are_named_with_the_known_ones(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"coin": "hadamard", "stepz": 3, "format": "json"}))
+    code, out, err = run_cli(capsys, "dist", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "format, stepz" in err and "coin, init, steps, output" in err
+
+
+@pytest.mark.parametrize("coin, init, digest", [
+    ("example-ijk", SYMMETRIC_J_INIT,
+     "9d893d43729463a73c8eba9be38f3fa93452fff76ff618104ed7993bdc856ce2"),
+    (RANDOM_COIN, RANDOM_INIT,
+     "7a33b935306a4f60281858e52a12dffa7653c025a2a70b088e356e2e9c42a929"),
+], ids=["example-ijk", "random-coin"])
+def test_dist_json_is_bit_identical_to_the_scalar_walk(capsys, coin, init, digest):
+    # digests of the JSON writer that sorted each step's sites itself: a
+    # reordered site or a changed last bit of a probability changes them
+    code, out, _ = run_cli(capsys, "dist", "--coin", coin, "--init", init,
+                           "--steps", "200", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+DEEP_JSON = "[" * 100000
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--measure", DEEP_JSON],
+    ["xi", "--coin", DEEP_JSON, "-n", "2", "-l", "1", "-m", "1"],
+    ["eigen-check", "--coin", "flip", "--eigenvalue", "1", "--state", DEEP_JSON],
+    ["dist", "--coin", "hadamard", "--init", DEEP_JSON],
+    ["dist", "--config", "run.json"],
+], ids=["measure", "coin", "state", "init", "config"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "invalid configuration" in err
+
+
+@pytest.mark.parametrize("mode", ["brute", "reduced"])
+def test_xi_tol_is_rejected_outside_decompose(capsys, mode):
+    code, out, err = run_cli(capsys, "xi", "--coin", "hadamard", "-n", "3", "-l", "1",
+                             "-m", "2", "--mode", mode, "--tol", "1e-10")
+    assert code == 2
+    assert out == "" and "--tol applies only to --mode decompose" in err
+
+
+def test_xi_decompose_residual_above_tol_exits_1_with_output(capsys):
+    argv = ("xi", "--coin", "example-ijk", "-n", "6", "-l", "3", "-m", "3",
+            "--mode", "decompose")
+    code, passing, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "--tol", "0")
+    assert code == 1
+    assert out == passing
+    assert len(err.splitlines()) == 1 and "exceeds --tol 0.0" in err
+
+
+def test_mistyped_preset_lists_the_presets(capsys):
+    code, out, err = run_cli(capsys, "xi", "--coin", "hadamrd", "-n", "2", "-l", "1",
+                             "-m", "1")
+    assert code == 2 and out == ""
+    for name in ("hadamard", "example-ijk", "flip", "flip-neg"):
+        assert name in err
