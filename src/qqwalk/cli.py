@@ -5,7 +5,8 @@ for one step split), ``verify`` (seeded verification suites), ``classify``
 (measure classification), ``eigen-check`` (right-eigenpair residuals).
 
 Exit codes: 0 success, 1 verification failure, 2 config/parse error,
-3 non-unitary coin, 4 enumeration cap exceeded (``xi --mode brute|reduced``).
+3 non-unitary coin, 4 enumeration cap exceeded (``xi --mode brute|reduced``),
+141 stdout closed by its reader (128 + SIGPIPE; nothing is printed on stderr).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NOT_UNITARY = 3
 EXIT_CAP = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
 
 
 def _parse_spinor(text: str) -> tuple[Quaternion, Quaternion]:
@@ -86,14 +88,17 @@ def _resolve_run_config(args) -> tuple[str, str, int, str]:
 def _cmd_dist(args) -> int:
     coin, init, steps, output = _resolve_run_config(args)
     series = distributions(coin_from_spec(coin), _parse_spinor(init), steps)
+    # each step is written as it is measured, so only one step is held
     if output == "csv":
         print("n,x,probability")
         for n, dist in enumerate(series):
             print("\n".join([f"{n},{x},{p!r}" for x, p in dist.items()]))
     else:
-        payload = [{"n": n, "dist": {str(x): p for x, p in dist.items()}}
-                   for n, dist in enumerate(series)]
-        print(json.dumps(payload))
+        print("[", end="")
+        for n, dist in enumerate(series):
+            row = json.dumps({"n": n, "dist": {str(x): p for x, p in dist.items()}})
+            print(", " + row if n else row, end="")
+        print("]")
     return EXIT_OK
 
 
@@ -201,7 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: keep the exit flush of what is still buffered quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except NotUnitaryError as exc:
         print(f"qqwalk: non-unitary coin: {exc}", file=sys.stderr)
         return EXIT_NOT_UNITARY

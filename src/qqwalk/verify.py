@@ -25,7 +25,7 @@ from .stationary import (
     right_eigen_check,
     stationary_residual,
 )
-from .walk import PeriodicState, distributions, random_unit_pair
+from .walk import PeriodicState, distribution, distributions, random_unit_pair
 
 
 def _report(check: str, passed: bool, residual: float, **params) -> dict:
@@ -220,7 +220,7 @@ def suite_theorem1(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
     for _ in range(5):
         coin = random_unitary_coin(rng, entries="real")
         alpha, beta = random_unit_pair(rng)
-        dist = distributions(coin, (alpha, beta), 4)[4]
+        dist = distribution(coin, (alpha, beta), 4)
         overlap = (alpha * beta.conj()).real
         for l in range(5):
             m = 4 - l

@@ -26,6 +26,8 @@ gives exact zeros with no arithmetic, and ``measure`` reads ``None`` as
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import accumulate, islice
 
 from .coin import Coin
 from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, max_or_nan
@@ -289,26 +291,26 @@ def _check_normalized(spinor: AmplitudePair) -> None:
         raise NotNormalizedError(f"initial spinor has squared norm {total!r}")
 
 
-def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> list[dict[int, float]]:
+def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[dict[int, float]]:
     """Position laws for times 0..n_max of the walk started at the origin.
 
-    Each entry maps site -> probability; exactly-zero sites are omitted,
-    so the support automatically reflects the parity of the step count.
+    The arguments are checked on the call; the laws then come one step at a
+    time, holding only the current state.  Each maps site -> probability;
+    exactly-zero sites are omitted, so the support reflects the parity of
+    the step count.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_normalized(spinor)
-    out = []
-    for step in range(n_max + 1):
-        state = state.evolve(coin) if step else FiniteSupportState.delta(spinor)
-        mu = state.measure()
-        out.append({x: p for x, p in zip(mu.sites(), mu.values) if p != 0.0})
-    return out
+    states = accumulate(range(n_max), lambda state, _: state.evolve(coin),
+                        initial=FiniteSupportState.delta(spinor))
+    return ({x: p for x, p in zip(mu.sites(), mu.values) if p != 0.0}
+            for mu in map(FiniteSupportState.measure, states))
 
 
 def distribution(coin: Coin, spinor: AmplitudePair, n: int) -> dict[int, float]:
     """P(X_n = x) for the walk started from ``spinor`` at the origin."""
-    return distributions(coin, spinor, n)[n]
+    return next(islice(distributions(coin, spinor, n), n, None))
 
 
 def hadamard_three_step_distribution(spinor: AmplitudePair) -> dict[int, float]:

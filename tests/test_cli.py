@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -15,6 +16,8 @@ import pytest
 import qqwalk
 from qqwalk import QMatrix2, Quaternion, build_eigenstate_flip, preset_coin
 from qqwalk.cli import main
+
+from conftest import TRACED_PEAK_MB, TRACED_STEPS, traced_peak_mb
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 SYMMETRIC_J_INIT = json.dumps([[SQRT_HALF, 0, 0, 0], [0, 0, SQRT_HALF, 0]])
@@ -98,25 +101,28 @@ def test_dist_config_file_with_flag_override(capsys, tmp_path):
 
 
 def test_dist_malformed_coin_exits_2(capsys):
-    code, _, err = run_cli(capsys, "dist", "--coin", "{not json",
-                           "--init", "1,0", "--steps", "1")
+    code, out, err = run_cli(capsys, "dist", "--coin", "{not json",
+                             "--init", "1,0", "--steps", "1")
     assert code == 2
-    assert err
+    assert out == "" and err
 
 
 def test_dist_non_unitary_coin_exits_3(capsys):
     coin = json.dumps({"a": [1, 0, 0, 0], "b": [1, 0, 0, 0],
                        "c": [0, 0, 0, 0], "d": [1, 0, 0, 0]})
-    code, _, err = run_cli(capsys, "dist", "--coin", coin,
-                           "--init", "1,0", "--steps", "1")
+    code, out, err = run_cli(capsys, "dist", "--coin", coin,
+                             "--init", "1,0", "--steps", "1")
     assert code == 3
-    assert "non-unitary" in err
+    assert out == "" and "non-unitary" in err
 
 
 def test_dist_rejects_bad_spinor(capsys):
-    code, _, _ = run_cli(capsys, "dist", "--coin", "hadamard",
-                         "--init", "1,1", "--steps", "1")
-    assert code == 2
+    # checked before the first row: no header and no "[" is written
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, "dist", "--coin", "hadamard",
+                               "--init", "1,1", "--steps", "1", "--format", fmt)
+        assert code == 2
+        assert out == ""
 
 
 def test_xi_brute_golden(capsys):
@@ -285,16 +291,18 @@ def test_classify_negative_window_exits_2(capsys):
 CHILD_AS_LIMIT = 256 * 2 ** 20
 
 
+#: The CLI in a child process, importing the package under test.
+CHILD_CLI = [sys.executable, "-c", "import sys; from qqwalk.cli import main; "
+                                   "sys.exit(main(sys.argv[1:]))"]
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qqwalk.__file__))}
+
+
 def _cli_in_capped_child(*argv) -> subprocess.CompletedProcess:
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_LIMIT, CHILD_AS_LIMIT))
 
-    src = os.path.dirname(os.path.dirname(qqwalk.__file__))
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from qqwalk.cli import main; "
-                               "sys.exit(main(sys.argv[1:]))", *argv],
-        preexec_fn=cap, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([*CHILD_CLI, *argv], preexec_fn=cap, capture_output=True,
+                          text=True, timeout=60, env=CHILD_ENV)
 
 
 @pytest.mark.parametrize("measure", [
@@ -549,3 +557,40 @@ def test_mistyped_preset_lists_the_presets(capsys):
     assert code == 2 and out == ""
     for name in ("hadamard", "example-ijk", "flip", "flip-neg"):
         assert name in err
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    # 300 steps of CSV fill any pipe buffer, so the child is still writing
+    # when the reader leaves after the header
+    proc = subprocess.Popen([*CHILD_CLI, "dist", "--coin", "hadamard", "--init", "1,0",
+                             "--steps", "300"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=CHILD_ENV)
+    try:
+        assert proc.stdout.readline() == b"n,x,probability\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == b""
+
+
+class _Discard:
+    """A stdout that keeps nothing of what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dist_holds_one_step_at_a_time(fmt):
+    # a held series and its JSON copy peak at 1.8 MB (csv) and 6.8 MB (json)
+    def run():
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["dist", "--coin", "hadamard", "--init", "1,0",
+                         "--steps", str(TRACED_STEPS), "--format", fmt]) == 0
+
+    assert traced_peak_mb(run) < TRACED_PEAK_MB

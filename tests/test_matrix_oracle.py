@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 from qqwalk import (
+    ONE,
+    ZERO,
+    FiniteSupportState,
     PolarInitialState,
+    QMatrix2,
     complexify_initial_state,
     distributions,
     path_sum,
@@ -95,3 +99,32 @@ def test_path_sum_entries_match_the_oracle_propagation():
         for entry, expected in ((xi.e11, left1[row]), (xi.e21, right1[row]),
                                 (xi.e12, left2[row]), (xi.e22, right2[row])):
             assert float(np.abs(np.array(entry.components()) - expected).max()) <= SITE_TOL
+
+
+@pytest.mark.parametrize("coin", [preset_coin("example-ijk"), random_unitary_coin(Random(35))],
+                         ids=["example-ijk", "random-coin"])
+def test_path_sums_at_200_steps_sum_to_the_identity(coin):
+    # sum_l Xi_n(l, n - l)^dagger Xi_n(l, n - l) = I.  Column j of Xi_n(l, n - l)
+    # is what the walk from the j-th unit spinor carries to site n - 2 l, so
+    # the two walks path_sum builds give every split at once.
+    steps = 200
+    walks = [FiniteSupportState.delta(unit) for unit in ((ONE, ZERO), (ZERO, ONE))]
+    for _ in range(steps):
+        walks = [state.evolve(coin) for state in walks]
+    total = QMatrix2.zeros()
+    for l in range(steps + 1):
+        (e11, e21), (e12, e22) = (state.amplitude(steps - 2 * l) for state in walks)
+        xi = QMatrix2(e11, e12, e21, e22)
+        total = total + xi.adjoint() @ xi
+    assert total.max_dev(QMatrix2.identity()) <= SITE_TOL
+
+    # the oracle's final states: entry (j, k) sums conj(psi_j) psi_k over
+    # both components and every site, and conj(p) q = lmat(p)^T q
+    columns = []
+    for unit in ([(1, 0, 0, 0), (0, 0, 0, 0)], [(0, 0, 0, 0), (1, 0, 0, 0)]):
+        *_, (left, right) = walk(_entries(coin), unit, steps)
+        columns.append(np.concatenate([left, right]))
+    for j, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        entry = sum(lmat(p).T @ r for p, r in zip(columns[j], columns[k]))
+        expected = np.eye(4)[0] if j == k else np.zeros(4)
+        assert float(np.abs(entry - expected).max()) <= SITE_TOL

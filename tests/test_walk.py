@@ -28,7 +28,16 @@ from qqwalk import (
 )
 from qqwalk.walk import _step
 
-from conftest import SQRT_HALF, assert_dist_close, assert_qclose, max_dist_dev, q
+from conftest import (
+    SQRT_HALF,
+    TRACED_PEAK_MB,
+    TRACED_STEPS,
+    assert_dist_close,
+    assert_qclose,
+    max_dist_dev,
+    q,
+    traced_peak_mb,
+)
 
 
 def up_spinor():
@@ -220,13 +229,30 @@ def test_no_real_spinor_satisfies_both_n3_constraints():
 
 
 def test_example_walk_matches_symmetric_hadamard_up_to_n4():
-    ijk = distributions(preset_coin("example-ijk"), symmetric_j_spinor(), 5)
-    had = distributions(preset_coin("hadamard"), symmetric_i_spinor(), 5)
+    ijk = list(distributions(preset_coin("example-ijk"), symmetric_j_spinor(), 5))
+    had = list(distributions(preset_coin("hadamard"), symmetric_i_spinor(), 5))
     for n in range(5):
         assert max_dist_dev(ijk[n], had[n]) <= 1e-12
     # n = 5 recorded but not asserted: equality is only claimed through n = 4
     assert sum(ijk[5].values()) == pytest.approx(1.0, abs=1e-12)
     assert sum(had[5].values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_distributions_checks_its_arguments_on_the_call():
+    # no law is taken: the checks must not wait for the first step
+    coin = preset_coin("hadamard")
+    with pytest.raises(ValueError, match="n_max"):
+        distributions(coin, up_spinor(), -1)
+    with pytest.raises(NotNormalizedError):
+        distributions(coin, (q(1), q(1)), 2)
+
+
+def test_distributions_hold_one_law_at_a_time():
+    def take_each_law():
+        for law in distributions(preset_coin("hadamard"), up_spinor(), TRACED_STEPS):
+            del law
+
+    assert traced_peak_mb(take_each_law) < TRACED_PEAK_MB
 
 
 def test_distribution_sums_to_one():
@@ -460,6 +486,6 @@ def test_walk_does_no_quaternion_products(monkeypatch):
     monkeypatch.setattr(Quaternion, "__mul__", counting_mul)
     assert coin.a * coin.b == scalar_mul(coin.a, coin.b) and len(products) == 1
     products.clear()
-    law = distributions(coin, spinor, 50)
+    law = list(distributions(coin, spinor, 50))  # the walk runs as the laws are taken
     assert len(products) == 0
     assert sum(law[50].values()) == pytest.approx(1.0, abs=1e-12)
