@@ -575,21 +575,11 @@ def test_closed_stdout_exits_141_without_a_message():
     assert err == b""
 
 
-class _Discard:
-    """A stdout that keeps nothing of what is written to it."""
-
-    def write(self, text):
-        return len(text)
-
-    def flush(self):
-        pass
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_dist_holds_one_step_at_a_time(fmt):
     # a held series and its JSON copy peak at 1.8 MB (csv) and 6.8 MB (json)
     def run():
-        with contextlib.redirect_stdout(_Discard()):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             assert main(["dist", "--coin", "hadamard", "--init", "1,0",
                          "--steps", str(TRACED_STEPS), "--format", fmt]) == 0
 
