@@ -23,7 +23,6 @@ from .coin import (
     NotUnitaryError,
     PRESET_NAMES,
     QMatrix2,
-    TableMismatchError,
     coin_from_json,
     coin_from_spec,
     preset_coin,
@@ -46,7 +45,6 @@ from .walk import (
 from .pathsum import (
     CapExceededError,
     InvalidSplitError,
-    NotInSpanError,
     PQRSDecomposition,
     PQWord,
     WORD_CAP,
@@ -100,8 +98,7 @@ __all__ = [
     "PolarInitialState", "effective_phase_cosine", "complexify_initial_state",
     "quadratic_form_coefficients",
     "SUITES", "run_suites",
-    "NotUnitError", "NotUnitaryError", "TableMismatchError",
-    "NotNormalizedError", "InvalidSplitError", "CapExceededError",
-    "NotInSpanError", "ZeroCoefficientError", "NotImaginaryUnitError",
-    "WrongCoinClassError", "NotRealCoinError",
+    "NotUnitError", "NotUnitaryError", "NotNormalizedError",
+    "InvalidSplitError", "CapExceededError", "ZeroCoefficientError",
+    "NotImaginaryUnitError", "WrongCoinClassError", "NotRealCoinError",
 ]

@@ -27,7 +27,7 @@ from .pathsum import (
 )
 from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, parse_quaternion
 from .stationary import EigenCandidate, classify_measure, right_eigen_check
-from .verify import SUITES, _report, run_suites
+from .verify import SUITES, _worst, run_suites
 from .walk import PeriodicState, distributions, measure_from_json, state_from_json
 
 EXIT_OK = 0
@@ -111,7 +111,7 @@ def _cmd_xi(args) -> int:
         evaluate = path_sum_bruteforce if args.mode == "brute" else path_sum_reduced
         print(json.dumps(evaluate(coin, args.n, args.l, args.m).to_json()))
         return EXIT_OK
-    deco = decompose_pqrs(coin, path_sum(coin, args.n, args.l, args.m), math.inf)
+    deco = decompose_pqrs(coin, path_sum(coin, args.n, args.l, args.m))
     print(json.dumps(deco.to_json()))
     if not deco.residual <= args.tol:
         print(f"qqwalk: reconstruction residual {deco.residual!r} exceeds "
@@ -147,11 +147,10 @@ def _cmd_eigen_check(args) -> int:
     if not isinstance(state, PeriodicState):
         raise ValueError("eigen-check needs a periodic state")
     lam = parse_quaternion(args.eigenvalue)
-    candidate = EigenCandidate(state, lam)
-    passed, residual = right_eigen_check(coin, candidate, args.tol)
-    print(json.dumps(_report("right-eigenpair", passed, residual,
-                             eigenvalue=lam.to_json(), tol=args.tol)))
-    return EXIT_OK if passed else EXIT_VERIFY_FAIL
+    report = _worst("right-eigenpair", [right_eigen_check(coin, EigenCandidate(state, lam))],
+                    args.tol, eigenvalue=lam.to_json())
+    print(json.dumps(report))
+    return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

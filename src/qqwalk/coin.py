@@ -22,10 +22,6 @@ class NotUnitaryError(ValueError):
     """A coin matrix failed the unitarity check."""
 
 
-class TableMismatchError(ValueError):
-    """A product-table entry disagreed with the direct matrix product."""
-
-
 def _q(value) -> Quaternion:
     if isinstance(value, Quaternion):
         return value
@@ -203,11 +199,9 @@ class Coin:
         return self.matrix.e22
 
     def entry(self, name: str) -> Quaternion:
-        try:
-            return {"a": self.matrix.e11, "b": self.matrix.e12,
-                    "c": self.matrix.e21, "d": self.matrix.e22}[name]
-        except KeyError:
-            raise ValueError(f"unknown coin entry {name!r}") from None
+        if name not in ("a", "b", "c", "d"):
+            raise ValueError(f"unknown coin entry {name!r}")
+        return getattr(self, name)
 
     def basis(self, letter: str) -> QMatrix2:
         try:
@@ -215,42 +209,34 @@ class Coin:
         except KeyError:
             raise ValueError(f"unknown basis letter {letter!r}") from None
 
-    def case(self, tol: float = DEFAULT_TOL) -> str:
-        """Degeneracy class: ``"a=0"``, ``"b=0"``, or ``"abcd!=0"``.
+    def case(self) -> str:
+        """Degeneracy class: ``"a=0"``, ``"b=0"``, or ``"abcd!=0"``, at ``DEFAULT_TOL``.
 
         Unitarity makes these three cases exhaustive: a zero entry forces
         the rest of its row and column structure.
         """
-        if self.a.norm() <= tol:
+        if self.a.norm() <= DEFAULT_TOL:
             return "a=0"
-        if self.b.norm() <= tol:
+        if self.b.norm() <= DEFAULT_TOL:
             return "b=0"
         return "abcd!=0"
 
-    def is_real(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(e.imag.norm() <= tol for e in self.matrix.entries())
+    def is_real(self) -> bool:
+        return all(e.imag.norm() <= DEFAULT_TOL for e in self.matrix.entries())
 
-    def product_table(self, tol: float = DEFAULT_TOL) -> ProductTable:
+    def product_table(self) -> ProductTable:
         """The 16 products of {P, Q, R, S} as (coefficient, basis letter).
 
-        Every entry is re-verified against the direct matrix product; the
-        worst deviation is the table's ``residual``.
-
-        Raises:
-            TableMismatchError: if any entry deviates beyond ``tol``
-                (a corrupted or non-unitary coin).
+        Every entry is re-measured against the direct matrix product; the
+        worst deviation (NaN if any is NaN) is the table's ``residual``,
+        which a corrupted coin drives above rounding.
         """
         table = ProductTable()
         deviations = []
         for (left, right), (entry_name, result) in PRODUCT_RULES.items():
             coeff = self.entry(entry_name)
             direct = self.basis(left) @ self.basis(right)
-            dev = (coeff * self.basis(result)).max_dev(direct)
-            if not dev <= tol:
-                raise TableMismatchError(
-                    f"product {left}{right} deviates from {entry_name}{result} "
-                    f"by {dev!r}")
-            deviations.append(dev)
+            deviations.append((coeff * self.basis(result)).max_dev(direct))
             table[(left, right)] = (coeff, result)
         table.residual = max_or_nan(deviations)
         return table

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .coin import Coin, PRODUCT_RULES, QMatrix2
-from .quaternion import DEFAULT_TOL, ONE, ZERO, Quaternion
+from .quaternion import ONE, ZERO, Quaternion
 from .walk import FiniteSupportState
 
 #: Largest step count enumerated exhaustively (2^n words).
@@ -39,10 +39,6 @@ class InvalidSplitError(ValueError):
 
 class CapExceededError(ValueError):
     """Requested word length above the enumeration cap."""
-
-
-class NotInSpanError(ValueError):
-    """Matrix does not decompose over the coin's split basis."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +91,7 @@ class PQWord:
 
 def _reduction_step(coin: Coin):
     """The product-table fold step ``(coeff, B), L -> (coeff * entry, B')``."""
-    entries = {"a": coin.a, "b": coin.b, "c": coin.c, "d": coin.d}
-    rules = {pair: (entries[entry_name], result)
+    rules = {pair: (coin.entry(entry_name), result)
              for pair, (entry_name, result) in PRODUCT_RULES.items()}
 
     def step(folded, letter):
@@ -215,8 +210,7 @@ class PQRSDecomposition:
                 "r": self.r.to_json(), "s": self.s.to_json()}
 
 
-def decompose_pqrs(coin: Coin, matrix: QMatrix2,
-                   tol: float = DEFAULT_TOL) -> PQRSDecomposition:
+def decompose_pqrs(coin: Coin, matrix: QMatrix2) -> PQRSDecomposition:
     """Extract left coefficients so that ``matrix = pP + qQ + rR + sS``.
 
     The top row of the matrix is ``p (a, b) + r (c, d)`` and the bottom row
@@ -225,9 +219,6 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2,
     2x2 quaternion matrix lies in the split span.  The reconstruction
     residual that comes back with the coefficients therefore measures
     rounding, or a NaN, and that is what ``qqwalk xi --tol`` judges.
-
-    Raises:
-        NotInSpanError: reconstruction residual exceeds ``tol``.
     """
     ac, bc = coin.a.conj(), coin.b.conj()
     cc, dc = coin.c.conj(), coin.d.conj()
@@ -237,7 +228,4 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2,
         s=matrix.e21 * ac + matrix.e22 * bc,
         q=matrix.e21 * cc + matrix.e22 * dc,
     )
-    residual = deco.reconstruct(coin).max_dev(matrix)
-    if not residual <= tol:
-        raise NotInSpanError(f"reconstruction residual {residual!r} exceeds {tol!r}")
-    return replace(deco, residual=residual)
+    return replace(deco, residual=deco.reconstruct(coin).max_dev(matrix))

@@ -56,21 +56,17 @@ class EigenCandidate:
                              f"{self.eigenvalue.norm()!r}")
 
 
-def right_eigen_check(coin: Coin, candidate: EigenCandidate,
-                      tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Verify ``E(psi) = psi * lambda`` sitewise over one period.
+def right_eigen_check(coin: Coin, candidate: EigenCandidate) -> float:
+    """Worst sitewise deviation of ``E(psi)`` from ``psi * lambda`` over one period, or NaN.
 
     ``E`` is one step of the walk, :meth:`PeriodicState.evolve`.
-
-    Returns (passed, max residual); a NaN residual fails.
     """
     lam = candidate.eigenvalue
     state = candidate.state
     evolved = state.evolve(coin)
-    worst = max_or_nan(got.max_dev(amp * lam)
-                       for pairs in zip(evolved.pairs, state.pairs)
-                       for got, amp in zip(*pairs))
-    return worst <= tol, worst
+    return max_or_nan(got.max_dev(amp * lam)
+                      for pairs in zip(evolved.pairs, state.pairs)
+                      for got, amp in zip(*pairs))
 
 
 def _coerce_coeffs(coeffs) -> list[tuple[Quaternion, Quaternion]]:
@@ -146,18 +142,25 @@ def verify_stationary(coin: Coin, state: WalkState, n_max: int,
 
 @dataclass(frozen=True)
 class TwoStepUniformityReport:
-    """Outcome of the b=0 check [measure invariant for 2 steps] => [uniform]."""
+    """Outcome of the b=0 check [measure invariant for 2 steps] => [uniform].
+
+    ``spread`` is max - min of the state's site measure; both sides of the
+    implication are judged at ``DEFAULT_TOL``.
+    """
 
     measure_invariant: bool
-    measure_uniform: bool
+    spread: float
+
+    @property
+    def measure_uniform(self) -> bool:
+        return self.spread <= DEFAULT_TOL
 
     @property
     def implication_holds(self) -> bool:
         return (not self.measure_invariant) or self.measure_uniform
 
 
-def check_two_step_uniformity(coin: Coin, state: PeriodicState,
-                              tol: float = DEFAULT_TOL) -> TwoStepUniformityReport:
+def check_two_step_uniformity(coin: Coin, state: PeriodicState) -> TwoStepUniformityReport:
     """For a b=0 coin, test one state against the two-step uniformity law.
 
     For diagonal coins the left and right components shift rigidly, and a
@@ -168,13 +171,11 @@ def check_two_step_uniformity(coin: Coin, state: PeriodicState,
     Raises:
         WrongCoinClassError: coin is not in the b=0 class.
     """
-    if coin.case(tol) != "b=0":
+    if coin.case() != "b=0":
         raise WrongCoinClassError("two-step uniformity check needs a b=0 coin")
-    invariant = verify_stationary(coin, state, 2, tol)
     values = state.measure().values
-    uniform = (max(values) - min(values)) <= tol
-    return TwoStepUniformityReport(measure_invariant=invariant,
-                                   measure_uniform=uniform)
+    return TwoStepUniformityReport(measure_invariant=verify_stationary(coin, state, 2),
+                                   spread=max(values) - min(values))
 
 
 @dataclass

@@ -3,12 +3,15 @@
 Each suite returns a list of report dicts
 ``{"check": name, "pass": bool, "max_residual": float, "params": {...}}``
 and is deterministic for a fixed seed.  Residuals the library measures
-are read from it, not recomputed.
+are read from it, not recomputed, and ``tol`` bounds them and nothing
+else, so a looser ``tol`` never turns a pass into a fail.  Coin classes,
+two-step invariance and the a0 witness's measure class are judged at
+``DEFAULT_TOL``; ``b0-two-step-uniformity`` reports the worst measure
+spread (max - min) of the states that stay invariant, and their count.
 """
 
 from __future__ import annotations
 
-import math
 from random import Random
 
 from .coin import Coin, QMatrix2, preset_coin, random_unitary_coin
@@ -73,8 +76,7 @@ def suite_pqrs(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
     rng = Random(seed)
     coins = [preset_coin("hadamard"), preset_coin("example-ijk")]
     coins += [random_unitary_coin(rng) for _ in range(10)]
-    # no raise threshold (math.inf): _worst judges each residual, so a tight tol fails, not raises
-    reports = [_worst("product-table", [coin.product_table(math.inf).residual for coin in coins],
+    reports = [_worst("product-table", [coin.product_table().residual for coin in coins],
                       tol, coins=len(coins), seed=seed)]
 
     oracle_devs = []
@@ -84,19 +86,19 @@ def suite_pqrs(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
             for l in range(n + 1):
                 brute = path_sum_bruteforce(coin, n, l, n - l)
                 oracle_devs.append(brute.max_dev(path_sum_reduced(coin, n, l, n - l)))
-                round_trips.append(decompose_pqrs(coin, brute, math.inf).residual)
+                round_trips.append(decompose_pqrs(coin, brute).residual)
     reports.append(_worst("word-reduction-oracle", oracle_devs, tol,
                           coins=5, max_n=6, seed=seed))
     reports.append(_worst("pqrs-round-trip", round_trips, tol, coins=5, max_n=6, seed=seed))
 
     quat_coin = random_unitary_coin(rng)
     a, b, c = quat_coin.a, quat_coin.b, quat_coin.c
-    deco = decompose_pqrs(quat_coin, path_sum_bruteforce(quat_coin, 4, 3, 1), math.inf)
+    deco = decompose_pqrs(quat_coin, path_sum_bruteforce(quat_coin, 4, 3, 1))
     coeff_devs = [deco.p.max_dev(a * b * c + b * c * a), deco.q.max_dev(ZERO),
                   deco.r.max_dev(a * a * b), deco.s.max_dev(c * a * a)]
     complex_coin = random_unitary_coin(rng, entries="complex")
     a, b, c = complex_coin.a, complex_coin.b, complex_coin.c
-    deco = decompose_pqrs(complex_coin, path_sum_bruteforce(complex_coin, 4, 3, 1), math.inf)
+    deco = decompose_pqrs(complex_coin, path_sum_bruteforce(complex_coin, 4, 3, 1))
     coeff_devs.append(deco.p.max_dev(2.0 * (a * b * c)))
     reports.append(_worst("pqrs-known-coefficients", coeff_devs, tol, seed=seed))
     return reports
@@ -148,20 +150,20 @@ def suite_stationary(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
     candidate = build_eigenstate_flip(-1, [(Quaternion(1), Quaternion(1)),
                                            (Quaternion(2), Quaternion(2))])
     witness_residual = stationary_residual(flip, candidate.state, 20)
-    klass = classify_measure(candidate.state.measure(), window=8, tol=tol)
+    klass = classify_measure(candidate.state.measure(), window=8)
     witness_ok = witness_residual <= tol and klass.kind == "other"
     reports.append(_report("a0-witness", witness_ok, witness_residual,
                            coin="flip", kind=klass.kind, steps=20, tol=tol))
 
-    falsified = 0
     samples = 200
+    spreads = []
     for _ in range(samples):
         state = _random_b0_state(rng)
-        coin = _random_b0_coin(rng)
-        if not check_two_step_uniformity(coin, state, tol).implication_holds:
-            falsified += 1
-    reports.append(_report("b0-two-step-uniformity", falsified == 0,
-                           float(falsified), samples=samples, seed=seed, tol=tol))
+        report = check_two_step_uniformity(_random_b0_coin(rng), state)
+        if report.measure_invariant:
+            spreads.append(report.spread)
+    reports.append(_worst("b0-two-step-uniformity", spreads, tol,
+                          samples=samples, invariant=len(spreads), seed=seed))
     return reports
 
 
@@ -174,21 +176,19 @@ def suite_eigen(seed: int = 0, tol: float = DEFAULT_TOL) -> list[dict]:
         coeffs = [(_random_direction(rng) * rng.uniform(0.5, 2.0),
                    _random_direction(rng) * rng.uniform(0.5, 2.0))
                   for _ in range(rng.randint(1, 3))]
-        residuals.append(right_eigen_check(
-            flip, build_eigenstate_flip(sign, coeffs), tol)[1])
+        residuals.append(right_eigen_check(flip, build_eigenstate_flip(sign, coeffs)))
     for _ in range(3):
         lam = _random_imaginary_unit(rng)
         coeffs = [(_random_direction(rng), _random_direction(rng))
                   for _ in range(rng.randint(1, 3))]
-        residuals.append(right_eigen_check(
-            flip_neg, build_eigenstate_flipneg(lam, coeffs), tol)[1])
+        residuals.append(right_eigen_check(flip_neg, build_eigenstate_flipneg(lam, coeffs)))
     reports = [_worst("right-eigenpair", residuals, tol, seed=seed)]
 
     # the eigenvalue must act on the right; left action has to break for a
     # candidate whose amplitudes do not commute with lambda
     lam = Quaternion(0.0, 1.0, 0.0, 0.0)
     candidate = build_eigenstate_flipneg(lam, [(Quaternion(0, 0, 1), Quaternion(1))])
-    _, right_dev = right_eigen_check(flip_neg, candidate, tol)
+    right_dev = right_eigen_check(flip_neg, candidate)
     evolved = candidate.state.evolve(flip_neg)
     left_dev = max_or_nan(got.max_dev(lam * amp)
                           for pairs in zip(evolved.pairs, candidate.state.pairs)

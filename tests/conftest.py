@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 from qqwalk import Quaternion
 
@@ -35,19 +34,10 @@ def max_dist_dev(one: dict, other: dict) -> float:
     return max(abs(one.get(x, 0.0) - other.get(x, 0.0)) for x in sites)
 
 
-#: Steps and bound of the traced memory tests.  A law has O(n) sites, so a
-#: held series costs O(n^2): 1.65 MB at 200 steps, against 0.13 MB for one
-#: law at a time.  tracemalloc slows the walk about 70-fold (4.6 s at 200
-#: steps on a 2-vCPU host), and 400 steps would take four times as long.
+#: Steps and bound of the memory probes, which sample
+#: ``sys.getallocatedblocks()`` while the laws are taken.  A law has O(n)
+#: sites, so a held series costs O(n^2) live blocks: at 200 steps a held
+#: series shows about 31000 more blocks than before the walk, against about
+#: 2400 (library) to 4400 (``dist`` CSV) for one law at a time.
 TRACED_STEPS = 200
-TRACED_PEAK_MB = 1.0
-
-
-def traced_peak_mb(run) -> float:
-    """Peak memory that ``run()`` allocates, in MB, under ``tracemalloc``."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
+HELD_BLOCKS = 10_000

@@ -113,7 +113,7 @@ def test_criterion_03_pqrs_algebra():
         coins = [preset_coin("hadamard"), preset_coin("example-ijk")]
         coins += [random_unitary_coin(rng) for _ in range(50)]
         for coin in coins:
-            for (left, right), (coeff, basis) in coin.product_table(1e-10).items():
+            for (left, right), (coeff, basis) in coin.product_table().items():
                 direct = coin.basis(left) @ coin.basis(right)
                 assert (coeff * coin.basis(basis)).max_dev(direct) <= 1e-10
 
@@ -186,8 +186,7 @@ def test_criterion_06_a0_eigenstate_witnesses():
                 (flip_neg, build_eigenstate_flipneg(lam, random_coeffs(2))))
 
         for coin, candidate in candidates:
-            passed, residual = right_eigen_check(coin, candidate, 1e-12)
-            assert passed and residual <= 1e-12
+            assert right_eigen_check(coin, candidate) <= 1e-12
             assert verify_stationary(coin, candidate.state, 20, 1e-10)
 
         # distinct pair moduli force a non-uniform, non-exponential measure
@@ -287,7 +286,7 @@ def test_criterion_09_b0_two_step_uniformity():
         for _ in range(1000):
             coin = _random_b0_coin(rng)
             state = _random_b0_state(rng)
-            report = check_two_step_uniformity(coin, state, 1e-10)
+            report = check_two_step_uniformity(coin, state)
             assert report.implication_holds
             if report.measure_invariant:
                 invariant_seen += 1

@@ -16,7 +16,6 @@ from qqwalk import (
     CapExceededError,
     FiniteSupportState,
     InvalidSplitError,
-    NotInSpanError,
     PQWord,
     QMatrix2,
     Quaternion,
@@ -276,8 +275,7 @@ def test_decompose_rejects_non_orthonormal_rows():
         r=QMatrix2(shear.e21, shear.e22, zero, zero),
         s=QMatrix2(zero, zero, shear.e11, shear.e12),
     )
-    with pytest.raises(NotInSpanError):
-        decompose_pqrs(fake, QMatrix2(1, 0, 0, 0))
+    assert decompose_pqrs(fake, QMatrix2(1, 0, 0, 0)).residual > 1e-10
 
 
 def test_walk_consistency():
@@ -331,8 +329,7 @@ def test_path_sums_beyond_cap_form_a_resolution_of_identity():
 
 def test_decompose_rejects_nan_matrix():
     coin = preset_coin("hadamard")
-    with pytest.raises(NotInSpanError):
-        decompose_pqrs(coin, QMatrix2(Quaternion(float("nan")), 0, 0, 1))
+    assert math.isnan(decompose_pqrs(coin, QMatrix2(Quaternion(float("nan")), 0, 0, 1)).residual)
 
 
 def test_decompose_returns_its_reconstruction_residual():

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from qqwalk import (
+    DEFAULT_TOL,
     Coin,
     EigenCandidate,
     FiniteSupportState,
@@ -46,29 +47,27 @@ def all_ones_state():
 
 
 def test_all_ones_is_flip_eigenvector():
-    passed, residual = right_eigen_check(
-        preset_coin("flip"), EigenCandidate(all_ones_state(), q(1)))
-    assert passed and residual == 0.0
+    residual = right_eigen_check(preset_coin("flip"), EigenCandidate(all_ones_state(), q(1)))
+    assert residual == 0.0
 
 
 def test_all_ones_is_not_hadamard_eigenvector():
-    passed, residual = right_eigen_check(
+    residual = right_eigen_check(
         preset_coin("hadamard"), EigenCandidate(all_ones_state(), q(1)))
-    assert not passed
     assert residual > 0.1
 
 
 def test_flip_lambda_minus_one_with_j_coefficient():
     candidate = build_eigenstate_flip(-1, [(q(1), q(0, 0, 1))])
-    passed, residual = right_eigen_check(preset_coin("flip"), candidate)
-    assert passed and residual == 0.0
+    residual = right_eigen_check(preset_coin("flip"), candidate)
+    assert residual == 0.0
 
 
 def test_flipneg_sphere_eigenvalue():
     lam = Quaternion(0, 1, 1, 1) / math.sqrt(3)
     candidate = build_eigenstate_flipneg(lam, [(q(1), q(1))])
-    passed, residual = right_eigen_check(preset_coin("flip-neg"), candidate)
-    assert passed and residual <= 1e-12
+    residual = right_eigen_check(preset_coin("flip-neg"), candidate)
+    assert residual <= 1e-12
 
 
 def test_eigenvalue_must_be_unimodular():
@@ -104,8 +103,8 @@ def test_build_flipneg_examples():
         (Quaternion(0, 1, 1, 0) / math.sqrt(2), [(q(0, 1), q(1, 1))]),
     ]:
         candidate = build_eigenstate_flipneg(lam, coeffs)
-        passed, residual = right_eigen_check(flip_neg, candidate)
-        assert passed, f"lambda {lam} residual {residual}"
+        residual = right_eigen_check(flip_neg, candidate)
+        assert residual <= DEFAULT_TOL, f"lambda {lam} residual {residual}"
         assert_qclose(lam.square(), q(-1))
 
 
@@ -167,11 +166,13 @@ def test_two_step_uniformity_reports():
     constant = PeriodicState.constant((q(0.6), q(0, 0.8)))
     report = check_two_step_uniformity(coin, constant)
     assert report.measure_invariant and report.measure_uniform
+    assert report.spread == 0.0
     assert report.implication_holds
 
     lopsided = PeriodicState([(q(1), q(0.5)), (q(2), q(0.5))])
     report = check_two_step_uniformity(coin, lopsided)
     assert not report.measure_invariant
+    assert report.spread == 3.0 and not report.measure_uniform
     assert report.implication_holds  # vacuously
 
 
@@ -364,9 +365,7 @@ def test_quadratic_form_beyond_the_word_cap():
 
 def test_right_eigen_check_fails_on_nan_amplitude():
     candidate = build_eigenstate_flip(1, [(q(math.nan), q(1))])
-    passed, residual = right_eigen_check(preset_coin("flip"), candidate)
-    assert passed is False
-    assert math.isnan(residual)
+    assert math.isnan(right_eigen_check(preset_coin("flip"), candidate))
 
 
 def test_stationary_residual():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from random import Random
 
 import pytest
@@ -30,13 +31,12 @@ from qqwalk.walk import _step
 
 from conftest import (
     SQRT_HALF,
-    TRACED_PEAK_MB,
+    HELD_BLOCKS,
     TRACED_STEPS,
     assert_dist_close,
     assert_qclose,
     max_dist_dev,
     q,
-    traced_peak_mb,
 )
 
 
@@ -248,11 +248,11 @@ def test_distributions_checks_its_arguments_on_the_call():
 
 
 def test_distributions_hold_one_law_at_a_time():
-    def take_each_law():
-        for law in distributions(preset_coin("hadamard"), up_spinor(), TRACED_STEPS):
-            del law
-
-    assert traced_peak_mb(take_each_law) < TRACED_PEAK_MB
+    # a probe after each law: a held series is alive from the first law on
+    start = peak = sys.getallocatedblocks()
+    for _ in distributions(preset_coin("hadamard"), up_spinor(), TRACED_STEPS):
+        peak = max(peak, sys.getallocatedblocks())
+    assert peak - start < HELD_BLOCKS
 
 
 def test_distribution_sums_to_one():
