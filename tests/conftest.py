@@ -36,8 +36,8 @@ def max_dist_dev(one: dict, other: dict) -> float:
 
 #: Steps and bound of the memory probes, which sample
 #: ``sys.getallocatedblocks()`` while the laws are taken.  A law has O(n)
-#: sites, so a held series costs O(n^2) live blocks: at 200 steps a held
-#: series shows about 31000 more blocks than before the walk, against about
-#: 2400 (library) to 4400 (``dist`` CSV) for one law at a time.
+#: sites, so a held series costs O(n^2) live blocks: at 200 steps it shows
+#: 30000 to 51000 more blocks than before the walk, against 2400 to 4400
+#: for one law at a time.
 TRACED_STEPS = 200
 HELD_BLOCKS = 10_000
