@@ -17,6 +17,14 @@ deterministic order (lexicographic in the P positions), so sums are
 bit-stable across runs.  Words that share a prefix share its fold, which
 takes C(n+2, l+1) - 4 steps in all for 0 < l < n instead of one per
 letter of every word, C(n, l) * (n - 1).
+
+The folds run on flat floats: a matrix is a 16-tuple ``(e11w, e11x, ...,
+e22z)`` and a coefficient a 4-tuple ``(w, x, y, z)``.  ``_matmul`` and
+``_reduction_step`` spell the products out in the operation order of
+``QMatrix2.__matmul__`` over ``Quaternion.__mul__`` then ``__add__``,
+products with a zero entry included, so every component has the bits of
+the scalar operators; quaternions are built once, from the totals.  The
+word-by-word tests in ``tests/test_pathsum.py`` pin that equality.
 """
 
 from __future__ import annotations
@@ -90,15 +98,21 @@ class PQWord:
 
 
 def _reduction_step(coin: Coin):
-    """The product-table fold step ``(coeff, B), L -> (coeff * entry, B')``."""
-    rules = {pair: (coin.entry(entry_name), result)
+    """The product-table fold step ``(coeff, B), L -> (coeff * entry, B')`` on flat coefficients."""
+    rules = {pair: (coin.entry(entry_name).components(), result)
              for pair, (entry_name, result) in PRODUCT_RULES.items()}
 
     def step(folded, letter):
-        coeff, basis = folded
-        entry, basis = rules[(basis, letter)]
-        return coeff * entry, basis
+        (cw, cx, cy, cz), basis = folded
+        (ew, ex, ey, ez), basis = rules[(basis, letter)]
+        return (cw * ew - cx * ex - cy * ey - cz * ez,
+                cw * ex + cx * ew + cy * ez - cz * ey,
+                cw * ey - cx * ez + cy * ew + cz * ex,
+                cw * ez + cx * ey - cy * ex + cz * ew), basis
     return step
+
+
+_FLAT_ONE = ONE.components()
 
 
 def reduce_word(coin: Coin, word: PQWord) -> tuple[Quaternion, str]:
@@ -111,7 +125,8 @@ def reduce_word(coin: Coin, word: PQWord) -> tuple[Quaternion, str]:
     ``P^u Q^v P^w -> a^(u-1) b d^(v-1) c a^(w-1) P``.
     """
     letters = word.letters()
-    return functools.reduce(_reduction_step(coin), letters[1:], (ONE, letters[0]))
+    coeff, basis = functools.reduce(_reduction_step(coin), letters[1:], (_FLAT_ONE, letters[0]))
+    return Quaternion(*coeff), basis
 
 
 def _check_split(n: int, l: int, m: int, cap: float = math.inf) -> None:
@@ -163,17 +178,44 @@ def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     return QMatrix2(e11, e12, e21, e22)
 
 
+def _flat(matrix: QMatrix2) -> tuple:
+    return tuple(v for entry in matrix.entries() for v in entry.components())
+
+
+def _matmul(m, n) -> tuple:
+    """``QMatrix2.__matmul__`` of two flat matrices, in its operation order."""
+    aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = m
+    ew, ex, ey, ez, fw, fx, fy, fz, gw, gx, gy, gz, hw, hx, hy, hz = n
+    return ((aw * ew - ax * ex - ay * ey - az * ez) + (bw * gw - bx * gx - by * gy - bz * gz),
+            (aw * ex + ax * ew + ay * ez - az * ey) + (bw * gx + bx * gw + by * gz - bz * gy),
+            (aw * ey - ax * ez + ay * ew + az * ex) + (bw * gy - bx * gz + by * gw + bz * gx),
+            (aw * ez + ax * ey - ay * ex + az * ew) + (bw * gz + bx * gy - by * gx + bz * gw),
+            (aw * fw - ax * fx - ay * fy - az * fz) + (bw * hw - bx * hx - by * hy - bz * hz),
+            (aw * fx + ax * fw + ay * fz - az * fy) + (bw * hx + bx * hw + by * hz - bz * hy),
+            (aw * fy - ax * fz + ay * fw + az * fx) + (bw * hy - bx * hz + by * hw + bz * hx),
+            (aw * fz + ax * fy - ay * fx + az * fw) + (bw * hz + bx * hy - by * hx + bz * hw),
+            (cw * ew - cx * ex - cy * ey - cz * ez) + (dw * gw - dx * gx - dy * gy - dz * gz),
+            (cw * ex + cx * ew + cy * ez - cz * ey) + (dw * gx + dx * gw + dy * gz - dz * gy),
+            (cw * ey - cx * ez + cy * ew + cz * ex) + (dw * gy - dx * gz + dy * gw + dz * gx),
+            (cw * ez + cx * ey - cy * ex + cz * ew) + (dw * gz + dx * gy - dy * gx + dz * gw),
+            (cw * fw - cx * fx - cy * fy - cz * fz) + (dw * hw - dx * hx - dy * hy - dz * hz),
+            (cw * fx + cx * fw + cy * fz - cz * fy) + (dw * hx + dx * hw + dy * hz - dz * hy),
+            (cw * fy - cx * fz + cy * fw + cz * fx) + (dw * hy - dx * hz + dy * hw + dz * hx),
+            (cw * fz + cx * fy - cy * fx + cz * fw) + (dw * hz + dx * hy - dy * hx + dz * hw))
+
+
 def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     """Sum of all C(n, l) operator words, each multiplied out as matrices; n <= WORD_CAP."""
     _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
-    basis = {"P": coin.p, "Q": coin.q, "R": coin.r, "S": coin.s}
-    total = QMatrix2.zeros()
+    basis = {"P": _flat(coin.p), "Q": _flat(coin.q)}
+    # a list comprehension, not tuple(map(add, ...)), keeps the peak memory flat
+    total = [0.0] * 16
     for product in _folds(basis.__getitem__,
-                          lambda product, letter: product @ basis[letter], n, l):
-        total = total + product
-    return total
+                          lambda product, letter: _matmul(product, basis[letter]), n, l):
+        total = [t + p for t, p in zip(total, product)]
+    return QMatrix2(*(Quaternion(*total[i:i + 4]) for i in range(0, 16, 4)))
 
 
 def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
@@ -185,10 +227,10 @@ def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
-    sums = {"P": Quaternion(), "Q": Quaternion(), "R": Quaternion(), "S": Quaternion()}
-    for coeff, basis in _folds(lambda letter: (ONE, letter), _reduction_step(coin), n, l):
-        sums[basis] = sums[basis] + coeff
-    return PQRSDecomposition(sums["P"], sums["Q"], sums["R"], sums["S"]).reconstruct(coin)
+    sums = {letter: [0.0] * 4 for letter in "PQRS"}
+    for coeff, basis in _folds(lambda letter: (_FLAT_ONE, letter), _reduction_step(coin), n, l):
+        sums[basis] = [s + c for s, c in zip(sums[basis], coeff)]
+    return PQRSDecomposition(*(Quaternion(*sums[letter]) for letter in "PQRS")).reconstruct(coin)
 
 
 @dataclass(frozen=True)

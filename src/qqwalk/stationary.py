@@ -257,6 +257,9 @@ def classify_measure(mu: Measure, window: int = 8,
 
     if uniform:
         mean = (lo + hi) / 2.0
+        if mean == math.inf:
+            # lo + hi overflowed; halving first is exact for values this large
+            mean = lo / 2.0 + hi / 2.0
         return MeasureClass("uniform", symmetric, uniform_value=mean)
 
     if not mu.periodic and mu.value(0) > 0.0:

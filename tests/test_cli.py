@@ -220,6 +220,14 @@ def test_classify_uniform(capsys):
     assert result["c"] == pytest.approx(2.0)
 
 
+def test_classify_uniform_constant_near_float_max_prints_it(capsys):
+    # the midpoint of lo and hi must not overflow to Infinity
+    measure = json.dumps({"kind": "periodic", "values": [1.7e308]})
+    code, out, _ = run_cli(capsys, "classify", "--measure", measure)
+    assert code == 0
+    assert out == '{"kind": "uniform", "symmetric": true, "c": 1.7e+308}\n'
+
+
 def test_classify_from_file(capsys, tmp_path):
     path = tmp_path / "measure.json"
     path.write_text(json.dumps({"kind": "finite", "offset": -1,
@@ -419,9 +427,15 @@ def test_tight_verify_tol_fails_reports_instead_of_raising(capsys, suite, tol, c
      "a39e215f8b5a60f41e55a9ce70035bf57f9f61a43957d7bdee01ee630208fae7"),
     (RANDOM_COIN, 3, "reduced",
      "bdf0461d11b51876dfcd67957cfb9e97726b282e92044e6f93dc8ab77aa506a1"),
+    # real entries give exact zeros, where a zero of the wrong sign would show
+    ("hadamard", 9, "brute",
+     "bca6f15cfcc81a45812820b7b04a21cf99a464072bbdfdd2b48606cbbec84012"),
+    ("hadamard", 9, "reduced",
+     "3b90cef03ef3e275de25eabd82518b93c308b72a6138899aab9e86858fcfecf8"),
 ], ids=["example-ijk-6-brute", "example-ijk-6-reduced", "example-ijk-3-brute",
         "example-ijk-3-reduced", "random-coin-6-brute", "random-coin-6-reduced",
-        "random-coin-3-brute", "random-coin-3-reduced"])
+        "random-coin-3-brute", "random-coin-3-reduced", "hadamard-9-brute",
+        "hadamard-9-reduced"])
 def test_xi_oracles_are_bit_identical_to_word_by_word_folds(capsys, coin, l, mode, digest):
     # digests of the output of the oracles folding each word on its own
     code, out, _ = run_cli(capsys, "xi", "--coin", coin, "-n", "12", "-l", str(l),

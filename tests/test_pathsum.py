@@ -28,6 +28,7 @@ from qqwalk import (
     random_unitary_coin,
     reduce_word,
 )
+from qqwalk import pathsum
 from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES
 
 from conftest import SQRT_HALF, assert_mclose, assert_qclose, q
@@ -193,13 +194,13 @@ def test_oracles_are_bit_identical_to_word_by_word_folds(coin, n, data):
 def test_bruteforce_folds_each_shared_prefix_once(monkeypatch):
     coin = preset_coin("example-ijk")
     matmuls = []
-    matmul = QMatrix2.__matmul__
+    matmul = pathsum._matmul
 
-    def counting_matmul(self, other):
-        matmuls.append(other)
-        return matmul(self, other)
+    def counting_matmul(m, n):
+        matmuls.append(n)
+        return matmul(m, n)
 
-    monkeypatch.setattr(QMatrix2, "__matmul__", counting_matmul)
+    monkeypatch.setattr(pathsum, "_matmul", counting_matmul)
     path_sum_bruteforce(coin, 14, 7, 7)
     # the word tree has C(16, 8) - 1 prefixes, 3 of them of length <= 1
     assert len(matmuls) == math.comb(16, 8) - 4 == 12866
@@ -207,6 +208,28 @@ def test_bruteforce_folds_each_shared_prefix_once(monkeypatch):
         matmuls.clear()
         path_sum_bruteforce(coin, 14, l, 14 - l)
         assert len(matmuls) == 13
+
+
+def test_reduced_folds_each_shared_prefix_once(monkeypatch):
+    coin = preset_coin("example-ijk")
+    steps = []
+    reduction_step = pathsum._reduction_step
+
+    def counting_reduction_step(coin):
+        step = reduction_step(coin)
+
+        def counting_step(folded, letter):
+            steps.append(letter)
+            return step(folded, letter)
+        return counting_step
+
+    monkeypatch.setattr(pathsum, "_reduction_step", counting_reduction_step)
+    path_sum_reduced(coin, 14, 7, 7)
+    assert len(steps) == math.comb(16, 8) - 4 == 12866
+    for l in (0, 14):
+        steps.clear()
+        path_sum_reduced(coin, 14, l, 14 - l)
+        assert len(steps) == 13
 
 
 def test_row_sum_is_coin_power():

@@ -189,6 +189,24 @@ def test_classify_uniform():
     assert klass.symmetric
 
 
+@pytest.mark.parametrize("values, c", [
+    ([1.7e308], 1.7e308),
+    ([1.7e308, 1.7e308, 1.7e308], 1.7e308),
+    ([1.5e308, 1.7e308], 1.6e308),
+])
+def test_classify_uniform_constant_near_float_max_is_finite(values, c):
+    # lo + hi overflows here, though their midpoint is a float
+    klass = classify_measure(Measure(values, periodic=True), tol=1e308)
+    assert klass.kind == "uniform"
+    assert klass.uniform_value == c
+
+
+def test_classify_uniform_midpoint_keeps_its_bits_where_the_sum_is_finite():
+    for lo, hi in ((1.0, 1.0 + 2e-16), (0.1, 0.3), (5e-324, 5e-324), (8e307, 8.5e307)):
+        klass = classify_measure(Measure([lo, hi], periodic=True), tol=1e308)
+        assert klass.uniform_value == (lo + hi) / 2.0
+
+
 def test_classify_exponential():
     values = [1.5 * 0.4 ** (-abs(x)) if x != 0 else 0.7 for x in range(-7, 8)]
     klass = classify_measure(Measure(values, offset=-7), window=7)
