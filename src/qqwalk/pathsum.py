@@ -178,8 +178,13 @@ def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     return QMatrix2(e11, e12, e21, e22)
 
 
+# Flat values are tuple displays, sums of tuples or lists, never tuple() or
+# * of an iterator: CPython sizes such a tuple by resizing, outside its
+# per-size free list, and freeing it grows that list, by up to 2000 tuples
+# (0.3 MB of 16-tuples) per process.
 def _flat(matrix: QMatrix2) -> tuple:
-    return tuple(v for entry in matrix.entries() for v in entry.components())
+    return (matrix.e11.components() + matrix.e12.components()
+            + matrix.e21.components() + matrix.e22.components())
 
 
 def _matmul(m, n) -> tuple:
@@ -210,12 +215,11 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     if n == 0:
         return QMatrix2.identity()
     basis = {"P": _flat(coin.p), "Q": _flat(coin.q)}
-    # a list comprehension, not tuple(map(add, ...)), keeps the peak memory flat
     total = [0.0] * 16
     for product in _folds(basis.__getitem__,
                           lambda product, letter: _matmul(product, basis[letter]), n, l):
         total = [t + p for t, p in zip(total, product)]
-    return QMatrix2(*(Quaternion(*total[i:i + 4]) for i in range(0, 16, 4)))
+    return QMatrix2(*[Quaternion(*total[i:i + 4]) for i in range(0, 16, 4)])
 
 
 def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
@@ -230,7 +234,7 @@ def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     sums = {letter: [0.0] * 4 for letter in "PQRS"}
     for coeff, basis in _folds(lambda letter: (_FLAT_ONE, letter), _reduction_step(coin), n, l):
         sums[basis] = [s + c for s, c in zip(sums[basis], coeff)]
-    return PQRSDecomposition(*(Quaternion(*sums[letter]) for letter in "PQRS")).reconstruct(coin)
+    return PQRSDecomposition(*[Quaternion(*sums[letter]) for letter in "PQRS"]).reconstruct(coin)
 
 
 @dataclass(frozen=True)
