@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 config/parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -153,6 +154,9 @@ def _cmd_eigen_check(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
+# built once per process: a parse leaves nothing on the parser, and a fresh
+# build per call costs about 20 times the parse and leaves cyclic garbage
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qqwalk",

@@ -6,6 +6,17 @@ the row-swapped mates R and S, products of any two of {P, Q, R, S}
 collapse to a single coin entry times another basis element.  That closed
 multiplication table is what makes long products of step operators
 reducible to one coefficient and one basis letter.
+
+Every product of 2x2 matrices in the package runs on one flat kernel: a
+matrix is a 16-tuple ``(e11w, e11x, ..., e22z)``, and ``_matmul``,
+``_adjoint``, ``_lmul`` and ``_max_dev`` spell out ``QMatrix2.__matmul__``,
+``adjoint``, ``__rmul__`` and ``max_dev`` in their operation order,
+products with a zero entry included, so every component and residual has
+the bits of the scalar operators.  Coin validation
+(``QMatrix2.unitarity_residual``), the product table, the path-sum folds,
+the P/Q/R/S decomposition and verify's row check run on it; the
+``QMatrix2`` operators stay as the scalar reference that the tests compare
+it with.
 """
 
 from __future__ import annotations
@@ -28,6 +39,76 @@ def _q(value) -> Quaternion:
     if isinstance(value, (int, float)):
         return Quaternion(value)
     raise TypeError(f"expected a quaternion entry, got {type(value).__name__}")
+
+
+# Flat values are tuple displays, sums of tuples or lists, never tuple() or
+# * of an iterator: CPython sizes such a tuple by resizing, outside its
+# per-size free list, and freeing it grows that list, by up to 2000 tuples
+# (0.3 MB of 16-tuples) per process.
+def _flat(matrix: "QMatrix2") -> tuple:
+    return (matrix.e11.components() + matrix.e12.components()
+            + matrix.e21.components() + matrix.e22.components())
+
+
+def _unflat(flat) -> "QMatrix2":
+    return QMatrix2(Quaternion(*flat[0:4]), Quaternion(*flat[4:8]),
+                    Quaternion(*flat[8:12]), Quaternion(*flat[12:16]))
+
+
+_FLAT_IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                  0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def _matmul(m, n) -> tuple:
+    """``QMatrix2.__matmul__`` of two flat matrices, in its operation order."""
+    aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = m
+    ew, ex, ey, ez, fw, fx, fy, fz, gw, gx, gy, gz, hw, hx, hy, hz = n
+    return ((aw * ew - ax * ex - ay * ey - az * ez) + (bw * gw - bx * gx - by * gy - bz * gz),
+            (aw * ex + ax * ew + ay * ez - az * ey) + (bw * gx + bx * gw + by * gz - bz * gy),
+            (aw * ey - ax * ez + ay * ew + az * ex) + (bw * gy - bx * gz + by * gw + bz * gx),
+            (aw * ez + ax * ey - ay * ex + az * ew) + (bw * gz + bx * gy - by * gx + bz * gw),
+            (aw * fw - ax * fx - ay * fy - az * fz) + (bw * hw - bx * hx - by * hy - bz * hz),
+            (aw * fx + ax * fw + ay * fz - az * fy) + (bw * hx + bx * hw + by * hz - bz * hy),
+            (aw * fy - ax * fz + ay * fw + az * fx) + (bw * hy - bx * hz + by * hw + bz * hx),
+            (aw * fz + ax * fy - ay * fx + az * fw) + (bw * hz + bx * hy - by * hx + bz * hw),
+            (cw * ew - cx * ex - cy * ey - cz * ez) + (dw * gw - dx * gx - dy * gy - dz * gz),
+            (cw * ex + cx * ew + cy * ez - cz * ey) + (dw * gx + dx * gw + dy * gz - dz * gy),
+            (cw * ey - cx * ez + cy * ew + cz * ex) + (dw * gy - dx * gz + dy * gw + dz * gx),
+            (cw * ez + cx * ey - cy * ex + cz * ew) + (dw * gz + dx * gy - dy * gx + dz * gw),
+            (cw * fw - cx * fx - cy * fy - cz * fz) + (dw * hw - dx * hx - dy * hy - dz * hz),
+            (cw * fx + cx * fw + cy * fz - cz * fy) + (dw * hx + dx * hw + dy * hz - dz * hy),
+            (cw * fy - cx * fz + cy * fw + cz * fx) + (dw * hy - dx * hz + dy * hw + dz * hx),
+            (cw * fz + cx * fy - cy * fx + cz * fw) + (dw * hz + dx * hy - dy * hx + dz * hw))
+
+
+def _adjoint(m) -> tuple:
+    """``QMatrix2.adjoint`` of a flat matrix: transposed, imaginary parts negated."""
+    aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = m
+    return (aw, -ax, -ay, -az, cw, -cx, -cy, -cz, bw, -bx, -by, -bz, dw, -dx, -dy, -dz)
+
+
+def _lmul(q, m) -> tuple:
+    """``q * M`` of a flat q and M, in the operation order of ``QMatrix2.__rmul__``."""
+    qw, qx, qy, qz = q
+    aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = m
+    return (qw * aw - qx * ax - qy * ay - qz * az, qw * ax + qx * aw + qy * az - qz * ay,
+            qw * ay - qx * az + qy * aw + qz * ax, qw * az + qx * ay - qy * ax + qz * aw,
+            qw * bw - qx * bx - qy * by - qz * bz, qw * bx + qx * bw + qy * bz - qz * by,
+            qw * by - qx * bz + qy * bw + qz * bx, qw * bz + qx * by - qy * bx + qz * bw,
+            qw * cw - qx * cx - qy * cy - qz * cz, qw * cx + qx * cw + qy * cz - qz * cy,
+            qw * cy - qx * cz + qy * cw + qz * cx, qw * cz + qx * cy - qy * cx + qz * cw,
+            qw * dw - qx * dx - qy * dy - qz * dz, qw * dx + qx * dw + qy * dz - qz * dy,
+            qw * dy - qx * dz + qy * dw + qz * dx, qw * dz + qx * dy - qy * dx + qz * dw)
+
+
+def _max_dev(m, n) -> float:
+    """``QMatrix2.max_dev`` of two flat matrices: the largest absolute difference, or NaN.
+
+    One ``max_or_nan`` over the 16 differences equals the nested one over
+    the entries: both give the same largest difference, and NaN iff any
+    difference is NaN.
+    """
+    return max_or_nan([abs(x - y) for x, y in zip(m, n)])
 
 
 class QMatrix2:
@@ -112,9 +193,10 @@ class QMatrix2:
         Either product implies the other for square quaternion matrices;
         measuring both is a cheap guard against arithmetic slips.
         """
-        ident = QMatrix2.identity()
-        adj = self.adjoint()
-        return max_or_nan(((self @ adj).max_dev(ident), (adj @ self).max_dev(ident)))
+        flat = _flat(self)
+        adj = _adjoint(flat)
+        return max_or_nan((_max_dev(_matmul(flat, adj), _FLAT_IDENTITY),
+                           _max_dev(_matmul(adj, flat), _FLAT_IDENTITY)))
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         return self.unitarity_residual() <= tol
@@ -231,12 +313,13 @@ class Coin:
         worst deviation (NaN if any is NaN) is the table's ``residual``,
         which a corrupted coin drives above rounding.
         """
+        flats = {letter: _flat(self.basis(letter)) for letter in "PQRS"}
         table = ProductTable()
         deviations = []
         for (left, right), (entry_name, result) in PRODUCT_RULES.items():
             coeff = self.entry(entry_name)
-            direct = self.basis(left) @ self.basis(right)
-            deviations.append((coeff * self.basis(result)).max_dev(direct))
+            direct = _matmul(flats[left], flats[right])
+            deviations.append(_max_dev(_lmul(coeff.components(), flats[result]), direct))
             table[(left, right)] = (coeff, result)
         table.residual = max_or_nan(deviations)
         return table

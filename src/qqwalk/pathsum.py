@@ -19,21 +19,34 @@ takes C(n+2, l+1) - 4 steps in all for 0 < l < n instead of one per
 letter of every word, C(n, l) * (n - 1).
 
 The folds run on flat floats: a matrix is a 16-tuple ``(e11w, e11x, ...,
-e22z)`` and a coefficient a 4-tuple ``(w, x, y, z)``.  ``_matmul`` and
-``_reduction_step`` spell the products out in the operation order of
-``QMatrix2.__matmul__`` over ``Quaternion.__mul__`` then ``__add__``,
-products with a zero entry included, so every component has the bits of
-the scalar operators; quaternions are built once, from the totals.  The
-word-by-word tests in ``tests/test_pathsum.py`` pin that equality.
+e22z)`` folded through the flat kernel ``coin._matmul``, and a coefficient
+a 4-tuple ``(w, x, y, z)`` folded by ``_reduction_step``.  Both spell the
+products out in the operation order of ``QMatrix2.__matmul__`` over
+``Quaternion.__mul__`` then ``__add__``, products with a zero entry
+included, so every component has the bits of the scalar operators;
+quaternions are built once, from the totals.  The word-by-word tests in
+``tests/test_pathsum.py`` pin that equality.  ``decompose_pqrs`` and
+``PQRSDecomposition.reconstruct`` run on the same kernel and build
+``QMatrix2`` and ``Quaternion`` objects only for what they return.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .coin import Coin, PRODUCT_RULES, QMatrix2
+from .coin import (
+    PRODUCT_RULES,
+    Coin,
+    QMatrix2,
+    _adjoint,
+    _flat,
+    _lmul,
+    _matmul,
+    _max_dev,
+    _unflat,
+)
 from .quaternion import ONE, ZERO, Quaternion
 from .walk import FiniteSupportState
 
@@ -178,37 +191,6 @@ def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     return QMatrix2(e11, e12, e21, e22)
 
 
-# Flat values are tuple displays, sums of tuples or lists, never tuple() or
-# * of an iterator: CPython sizes such a tuple by resizing, outside its
-# per-size free list, and freeing it grows that list, by up to 2000 tuples
-# (0.3 MB of 16-tuples) per process.
-def _flat(matrix: QMatrix2) -> tuple:
-    return (matrix.e11.components() + matrix.e12.components()
-            + matrix.e21.components() + matrix.e22.components())
-
-
-def _matmul(m, n) -> tuple:
-    """``QMatrix2.__matmul__`` of two flat matrices, in its operation order."""
-    aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = m
-    ew, ex, ey, ez, fw, fx, fy, fz, gw, gx, gy, gz, hw, hx, hy, hz = n
-    return ((aw * ew - ax * ex - ay * ey - az * ez) + (bw * gw - bx * gx - by * gy - bz * gz),
-            (aw * ex + ax * ew + ay * ez - az * ey) + (bw * gx + bx * gw + by * gz - bz * gy),
-            (aw * ey - ax * ez + ay * ew + az * ex) + (bw * gy - bx * gz + by * gw + bz * gx),
-            (aw * ez + ax * ey - ay * ex + az * ew) + (bw * gz + bx * gy - by * gx + bz * gw),
-            (aw * fw - ax * fx - ay * fy - az * fz) + (bw * hw - bx * hx - by * hy - bz * hz),
-            (aw * fx + ax * fw + ay * fz - az * fy) + (bw * hx + bx * hw + by * hz - bz * hy),
-            (aw * fy - ax * fz + ay * fw + az * fx) + (bw * hy - bx * hz + by * hw + bz * hx),
-            (aw * fz + ax * fy - ay * fx + az * fw) + (bw * hz + bx * hy - by * hx + bz * hw),
-            (cw * ew - cx * ex - cy * ey - cz * ez) + (dw * gw - dx * gx - dy * gy - dz * gz),
-            (cw * ex + cx * ew + cy * ez - cz * ey) + (dw * gx + dx * gw + dy * gz - dz * gy),
-            (cw * ey - cx * ez + cy * ew + cz * ex) + (dw * gy - dx * gz + dy * gw + dz * gx),
-            (cw * ez + cx * ey - cy * ex + cz * ew) + (dw * gz + dx * gy - dy * gx + dz * gw),
-            (cw * fw - cx * fx - cy * fy - cz * fz) + (dw * hw - dx * hx - dy * hy - dz * hz),
-            (cw * fx + cx * fw + cy * fz - cz * fy) + (dw * hx + dx * hw + dy * hz - dz * hy),
-            (cw * fy - cx * fz + cy * fw + cz * fx) + (dw * hy - dx * hz + dy * hw + dz * hx),
-            (cw * fz + cx * fy - cy * fx + cz * fw) + (dw * hz + dx * hy - dy * hx + dz * hw))
-
-
 def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     """Sum of all C(n, l) operator words, each multiplied out as matrices; n <= WORD_CAP."""
     _check_split(n, l, m, WORD_CAP)
@@ -219,7 +201,7 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     for product in _folds(basis.__getitem__,
                           lambda product, letter: _matmul(product, basis[letter]), n, l):
         total = [t + p for t, p in zip(total, product)]
-    return QMatrix2(*[Quaternion(*total[i:i + 4]) for i in range(0, 16, 4)])
+    return _unflat(total)
 
 
 def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
@@ -248,8 +230,8 @@ class PQRSDecomposition:
     residual: float = 0.0  # measured by decompose_pqrs; not part of to_json
 
     def reconstruct(self, coin: Coin) -> QMatrix2:
-        return (self.p * coin.p + self.q * coin.q
-                + self.r * coin.r + self.s * coin.s)
+        return _unflat(_reconstruct(coin, self.p.components(), self.q.components(),
+                                    self.r.components(), self.s.components()))
 
     def to_json(self) -> dict:
         return {"p": self.p.to_json(), "q": self.q.to_json(),
@@ -266,12 +248,18 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2) -> PQRSDecomposition:
     residual that comes back with the coefficients therefore measures
     rounding, or a NaN, and that is what ``qqwalk xi --tol`` judges.
     """
-    ac, bc = coin.a.conj(), coin.b.conj()
-    cc, dc = coin.c.conj(), coin.d.conj()
-    deco = PQRSDecomposition(
-        p=matrix.e11 * ac + matrix.e12 * bc,
-        r=matrix.e11 * cc + matrix.e12 * dc,
-        s=matrix.e21 * ac + matrix.e22 * bc,
-        q=matrix.e21 * cc + matrix.e22 * dc,
-    )
-    return replace(deco, residual=deco.reconstruct(coin).max_dev(matrix))
+    flat = _flat(matrix)
+    # [[p, r], [s, q]] = matrix @ U*: each coefficient is row · column of U*
+    coin_flat = (coin.a.components() + coin.b.components()
+                 + coin.c.components() + coin.d.components())
+    prsq = _matmul(flat, _adjoint(coin_flat))
+    p, r, s, q = prsq[0:4], prsq[4:8], prsq[8:12], prsq[12:16]
+    return PQRSDecomposition(Quaternion(*p), Quaternion(*q), Quaternion(*r), Quaternion(*s),
+                             _max_dev(_reconstruct(coin, p, q, r, s), flat))
+
+
+def _reconstruct(coin: Coin, p, q, r, s) -> list:
+    """Flat ``pP + qQ + rR + sS`` of flat coefficients, summed in that order."""
+    return [ep + eq + er + es for ep, eq, er, es in zip(
+        _lmul(p, _flat(coin.p)), _lmul(q, _flat(coin.q)),
+        _lmul(r, _flat(coin.r)), _lmul(s, _flat(coin.s)))]

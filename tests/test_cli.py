@@ -15,8 +15,14 @@ import sys
 import pytest
 
 import qqwalk
-from qqwalk import QMatrix2, Quaternion, build_eigenstate_flip, preset_coin
-from qqwalk.cli import main
+from qqwalk import (
+    QMatrix2,
+    Quaternion,
+    build_eigenstate_flip,
+    path_sum_bruteforce,
+    preset_coin,
+)
+from qqwalk.cli import build_parser, main
 
 from conftest import HELD_BLOCKS, TRACED_STEPS
 
@@ -582,6 +588,25 @@ def test_xi_decompose_residual_above_tol_exits_1_with_output(capsys):
     assert code == 1
     assert out == passing
     assert len(err.splitlines()) == 1 and "exceeds --tol 0.0" in err
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    # main builds its parser once per process; _cmd_xi tells a user --tol from
+    # the default by identity, so a parse must not leave the last --tol behind
+    assert build_parser() is build_parser()
+    split = ("xi", "--coin", "hadamard", "-n", "4", "-l", "1", "-m", "3")
+    assert run_cli(capsys, *split, "--mode", "decompose", "--tol", "0.5")[0] == 0
+    code, out, err = run_cli(capsys, *split, "--mode", "brute")
+    assert code == 0 and err == ""
+    assert json.loads(out) == path_sum_bruteforce(preset_coin("hadamard"), 4, 1, 3).to_json()
+
+    code, before, err = run_cli(capsys, "verify", "--suite", "unitary", "--seed", "3")
+    assert code == 0 and err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "unitary", "--seed", "x", "--tol", "0.5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "verify", "--suite", "unitary", "--seed", "3") == (0, before, "")
 
 
 def test_mistyped_preset_lists_the_presets(capsys):

@@ -8,12 +8,15 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qqwalk
 from qqwalk import (
     Coin,
     FiniteSupportState,
     NotUnitaryError,
+    PQRSDecomposition,
     QMatrix2,
     Quaternion,
     check_two_step_uniformity,
@@ -27,6 +30,9 @@ from qqwalk import (
     random_unitary_coin,
     right_eigen_check,
 )
+from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES
+from qqwalk.quaternion import max_or_nan
+from qqwalk.verify import _row_residual
 
 from conftest import SQRT_HALF, assert_mclose, assert_qclose, q
 
@@ -287,3 +293,73 @@ def test_residual_errors_are_gone(name):
 def test_uncalled_approx_eq_is_gone(cls):
     # ``max_dev`` is the one comparison; nothing in the package called these
     assert not hasattr(cls, "approx_eq")
+
+
+# The flat kernel against the QMatrix2 operators, written out here as the
+# reference.  Components include zeros and negatives, whose products make
+# signed zeros, and NaN and infinities, which must give NaN or the same
+# infinity on both sides; ``float.hex`` tells -0.0 from 0.0 and reads
+# "nan" for every NaN.
+_components = st.one_of(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                        st.sampled_from((0.0, -0.0, 1.0, -1.0, math.nan, math.inf,
+                                         -math.inf, 1e308)))
+_entries = st.one_of(st.builds(Quaternion, _components, _components, _components, _components),
+                     st.builds(Quaternion, _components), st.just(Quaternion()))
+_matrices = st.one_of(
+    st.builds(QMatrix2, _entries, _entries, _entries, _entries),
+    st.sampled_from(PRESET_NAMES).map(lambda name: preset_coin(name).matrix),
+    st.builds(lambda seed, entries: random_unitary_coin(Random(seed), entries).matrix,
+              st.integers(0, 2 ** 32), st.sampled_from(("real", "complex", "quaternion"))))
+
+
+def _unchecked_coin(matrix: QMatrix2) -> Coin:
+    """A coin over any matrix, unitary or not, split as ``Coin`` documents."""
+    coin = object.__new__(Coin)
+    zero = Quaternion()
+    coin.matrix = matrix
+    coin.p = QMatrix2(matrix.e11, matrix.e12, zero, zero)
+    coin.q = QMatrix2(zero, zero, matrix.e21, matrix.e22)
+    coin.r = QMatrix2(matrix.e21, matrix.e22, zero, zero)
+    coin.s = QMatrix2(zero, zero, matrix.e11, matrix.e12)
+    return coin
+
+
+def _matrix_hexes(matrix):
+    return [v.hex() for entry in matrix.entries() for v in entry.components()]
+
+
+def _scalar_reconstruct(coin, p, q, r, s):
+    return p * coin.p + q * coin.q + r * coin.r + s * coin.s
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrix=_matrices, other=_matrices, coeffs=st.tuples(_entries, _entries, _entries, _entries))
+def test_flat_kernel_is_bit_identical_to_the_scalar_operators(matrix, other, coeffs):
+    ident, adj = QMatrix2.identity(), matrix.adjoint()
+    unitarity = max_or_nan(((matrix @ adj).max_dev(ident), (adj @ matrix).max_dev(ident)))
+    assert matrix.unitarity_residual().hex() == unitarity.hex()
+
+    coin = _unchecked_coin(matrix)
+    gram = matrix @ adj
+    rows = max_or_nan((gram.e11.max_dev(Quaternion(1.0)), gram.e12.max_dev(Quaternion()),
+                       gram.e22.max_dev(Quaternion(1.0))))
+    assert _row_residual(coin).hex() == rows.hex()
+
+    table = max_or_nan([(coin.entry(name) * coin.basis(result))
+                        .max_dev(coin.basis(left) @ coin.basis(right))
+                        for (left, right), (name, result) in PRODUCT_RULES.items()])
+    assert coin.product_table().residual.hex() == table.hex()
+
+    assert (_matrix_hexes(PQRSDecomposition(*coeffs).reconstruct(coin))
+            == _matrix_hexes(_scalar_reconstruct(coin, *coeffs)))
+
+    ac, bc, cc, dc = (entry.conj() for entry in matrix.entries())
+    p = other.e11 * ac + other.e12 * bc
+    r = other.e11 * cc + other.e12 * dc
+    s = other.e21 * ac + other.e22 * bc
+    q = other.e21 * cc + other.e22 * dc
+    deco = decompose_pqrs(coin, other)
+    assert ([v.hex() for c in (deco.p, deco.q, deco.r, deco.s) for v in c.components()]
+            == [v.hex() for c in (p, q, r, s) for v in c.components()])
+    residual = _scalar_reconstruct(coin, p, q, r, s).max_dev(other)
+    assert deco.residual.hex() == residual.hex()
