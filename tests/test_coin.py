@@ -324,8 +324,8 @@ def _unchecked_coin(matrix: QMatrix2) -> Coin:
     return coin
 
 
-def _matrix_hexes(matrix):
-    return [v.hex() for entry in matrix.entries() for v in entry.components()]
+def _hexes(*quaternions):
+    return [v.hex() for entry in quaternions for v in entry.components()]
 
 
 def _scalar_reconstruct(coin, p, q, r, s):
@@ -350,8 +350,8 @@ def test_flat_kernel_is_bit_identical_to_the_scalar_operators(matrix, other, coe
                         for (left, right), (name, result) in PRODUCT_RULES.items()])
     assert coin.product_table().residual.hex() == table.hex()
 
-    assert (_matrix_hexes(PQRSDecomposition(*coeffs).reconstruct(coin))
-            == _matrix_hexes(_scalar_reconstruct(coin, *coeffs)))
+    assert (_hexes(*PQRSDecomposition(*coeffs).reconstruct(coin).entries())
+            == _hexes(*_scalar_reconstruct(coin, *coeffs).entries()))
 
     ac, bc, cc, dc = (entry.conj() for entry in matrix.entries())
     p = other.e11 * ac + other.e12 * bc
@@ -359,7 +359,6 @@ def test_flat_kernel_is_bit_identical_to_the_scalar_operators(matrix, other, coe
     s = other.e21 * ac + other.e22 * bc
     q = other.e21 * cc + other.e22 * dc
     deco = decompose_pqrs(coin, other)
-    assert ([v.hex() for c in (deco.p, deco.q, deco.r, deco.s) for v in c.components()]
-            == [v.hex() for c in (p, q, r, s) for v in c.components()])
+    assert _hexes(deco.p, deco.q, deco.r, deco.s) == _hexes(p, q, r, s)
     residual = _scalar_reconstruct(coin, p, q, r, s).max_dev(other)
     assert deco.residual.hex() == residual.hex()
