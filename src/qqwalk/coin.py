@@ -7,16 +7,16 @@ collapse to a single coin entry times another basis element.  That closed
 multiplication table is what makes long products of step operators
 reducible to one coefficient and one basis letter.
 
-Every product of 2x2 matrices in the package runs on one flat kernel: a
-matrix is a 16-tuple ``(e11w, e11x, ..., e22z)``, and ``_matmul``,
-``_adjoint``, ``_lmul`` and ``_max_dev`` spell out ``QMatrix2.__matmul__``,
-``adjoint``, ``__rmul__`` and ``max_dev`` in their operation order,
-products with a zero entry included, so every component and residual has
-the bits of the scalar operators.  Coin validation
-(``QMatrix2.unitarity_residual``), the product table, the path-sum folds,
-the P/Q/R/S decomposition and verify's row check run on it; the
-``QMatrix2`` operators stay as the scalar reference that the tests compare
-it with.
+The coin algebra runs on one flat kernel: a matrix is a 16-tuple
+``(e11w, e11x, ..., e22z)``, and ``_matmul``, ``_adjoint``, ``_lmul`` and
+``_max_dev`` spell out ``QMatrix2.__matmul__``, ``adjoint``, ``__rmul__``
+and ``max_dev`` in their operation order, products with a zero entry
+included, so every component and residual has the bits of the scalar
+operators.  Coin validation (``QMatrix2.unitarity_residual``), the product
+table, the path-sum folds and the P/Q/R/S decomposition run on it, with
+``_flat_basis`` as the one flat layout of P, Q, R and S.  The ``QMatrix2``
+operators stay as the scalar reference: the tests compare the kernel with
+them, and verify's row check multiplies with them.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ def _unflat(flat) -> "QMatrix2":
 
 _FLAT_IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                   0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def _flat_basis(coin: "Coin") -> dict[str, tuple]:
+    """The split parts P, Q, R and S of a coin as flat matrices."""
+    return {"P": _flat(coin.p), "Q": _flat(coin.q), "R": _flat(coin.r), "S": _flat(coin.s)}
 
 
 def _matmul(m, n) -> tuple:
@@ -313,7 +318,7 @@ class Coin:
         worst deviation (NaN if any is NaN) is the table's ``residual``,
         which a corrupted coin drives above rounding.
         """
-        flats = {letter: _flat(self.basis(letter)) for letter in "PQRS"}
+        flats = _flat_basis(self)
         table = ProductTable()
         deviations = []
         for (left, right), (entry_name, result) in PRODUCT_RULES.items():

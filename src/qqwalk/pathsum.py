@@ -42,6 +42,7 @@ from .coin import (
     QMatrix2,
     _adjoint,
     _flat,
+    _flat_basis,
     _lmul,
     _matmul,
     _max_dev,
@@ -196,7 +197,7 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
-    basis = {"P": _flat(coin.p), "Q": _flat(coin.q)}
+    basis = _flat_basis(coin)
     total = [0.0] * 16
     for product in _folds(basis.__getitem__,
                           lambda product, letter: _matmul(product, basis[letter]), n, l):
@@ -230,7 +231,7 @@ class PQRSDecomposition:
     residual: float = 0.0  # measured by decompose_pqrs; not part of to_json
 
     def reconstruct(self, coin: Coin) -> QMatrix2:
-        return _unflat(_reconstruct(coin, self.p.components(), self.q.components(),
+        return _unflat(_reconstruct(_flat_basis(coin), self.p.components(), self.q.components(),
                                     self.r.components(), self.s.components()))
 
     def to_json(self) -> dict:
@@ -248,18 +249,17 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2) -> PQRSDecomposition:
     residual that comes back with the coefficients therefore measures
     rounding, or a NaN, and that is what ``qqwalk xi --tol`` judges.
     """
-    flat = _flat(matrix)
-    # [[p, r], [s, q]] = matrix @ U*: each coefficient is row · column of U*
-    coin_flat = (coin.a.components() + coin.b.components()
-                 + coin.c.components() + coin.d.components())
-    prsq = _matmul(flat, _adjoint(coin_flat))
+    flat, basis = _flat(matrix), _flat_basis(coin)
+    # [[p, r], [s, q]] = matrix @ U*, with U = [[a, b], [c, d]] read off P and
+    # Q: each coefficient is row · column of U*
+    prsq = _matmul(flat, _adjoint(basis["P"][0:8] + basis["Q"][8:16]))
     p, r, s, q = prsq[0:4], prsq[4:8], prsq[8:12], prsq[12:16]
     return PQRSDecomposition(Quaternion(*p), Quaternion(*q), Quaternion(*r), Quaternion(*s),
-                             _max_dev(_reconstruct(coin, p, q, r, s), flat))
+                             _max_dev(_reconstruct(basis, p, q, r, s), flat))
 
 
-def _reconstruct(coin: Coin, p, q, r, s) -> list:
+def _reconstruct(basis: dict, p, q, r, s) -> list:
     """Flat ``pP + qQ + rR + sS`` of flat coefficients, summed in that order."""
     return [ep + eq + er + es for ep, eq, er, es in zip(
-        _lmul(p, _flat(coin.p)), _lmul(q, _flat(coin.q)),
-        _lmul(r, _flat(coin.r)), _lmul(s, _flat(coin.s)))]
+        _lmul(p, basis["P"]), _lmul(q, basis["Q"]),
+        _lmul(r, basis["R"]), _lmul(s, basis["S"]))]

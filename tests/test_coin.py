@@ -30,9 +30,8 @@ from qqwalk import (
     random_unitary_coin,
     right_eigen_check,
 )
-from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES
+from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES, _flat, _matmul
 from qqwalk.quaternion import max_or_nan
-from qqwalk.verify import _row_residual
 
 from conftest import SQRT_HALF, assert_mclose, assert_qclose, q
 
@@ -335,16 +334,14 @@ def _scalar_reconstruct(coin, p, q, r, s):
 @settings(derandomize=True, deadline=None)
 @given(matrix=_matrices, other=_matrices, coeffs=st.tuples(_entries, _entries, _entries, _entries))
 def test_flat_kernel_is_bit_identical_to_the_scalar_operators(matrix, other, coeffs):
+    assert ([v.hex() for v in _matmul(_flat(matrix), _flat(other))]
+            == _hexes(*(matrix @ other).entries()))
+
     ident, adj = QMatrix2.identity(), matrix.adjoint()
     unitarity = max_or_nan(((matrix @ adj).max_dev(ident), (adj @ matrix).max_dev(ident)))
     assert matrix.unitarity_residual().hex() == unitarity.hex()
 
     coin = _unchecked_coin(matrix)
-    gram = matrix @ adj
-    rows = max_or_nan((gram.e11.max_dev(Quaternion(1.0)), gram.e12.max_dev(Quaternion()),
-                       gram.e22.max_dev(Quaternion(1.0))))
-    assert _row_residual(coin).hex() == rows.hex()
-
     table = max_or_nan([(coin.entry(name) * coin.basis(result))
                         .max_dev(coin.basis(left) @ coin.basis(right))
                         for (left, right), (name, result) in PRODUCT_RULES.items()])
