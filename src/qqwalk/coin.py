@@ -12,11 +12,11 @@ The coin algebra runs on one flat kernel: a matrix is a 16-tuple
 ``_max_dev`` spell out ``QMatrix2.__matmul__``, ``adjoint``, ``__rmul__``
 and ``max_dev`` in their operation order, products with a zero entry
 included, so every component and residual has the bits of the scalar
-operators.  Coin validation (``QMatrix2.unitarity_residual``), the product
-table, the path-sum folds and the P/Q/R/S decomposition run on it, with
-``_flat_basis`` as the one flat layout of P, Q, R and S.  The ``QMatrix2``
-operators stay as the scalar reference: the tests compare the kernel with
-them, and verify's row check multiplies with them.
+operators.  A ``Coin`` flattens its matrix once, as ``coin.flat``, and
+stores its split once, as ``coin.flat_basis``; validation, the product
+table, the walk step, the path-sum folds and the decomposition read them.
+The ``QMatrix2`` operators stay as the scalar reference: the tests compare
+the kernel with them, and verify's row check multiplies with them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import os
 from random import Random
 
-from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan, parse_quaternion
+from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
 
 
 class NotUnitaryError(ValueError):
@@ -59,9 +59,10 @@ _FLAT_IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                   0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
-def _flat_basis(coin: "Coin") -> dict[str, tuple]:
-    """The split parts P, Q, R and S of a coin as flat matrices."""
-    return {"P": _flat(coin.p), "Q": _flat(coin.q), "R": _flat(coin.r), "S": _flat(coin.s)}
+def _split(flat) -> dict[str, tuple]:
+    """The split parts P, Q, R and S of a flat ``[[a, b], [c, d]]``, as flat matrices."""
+    top, bottom, zero = flat[0:8], flat[8:16], (0.0,) * 8
+    return {"P": top + zero, "Q": zero + bottom, "R": bottom + zero, "S": zero + top}
 
 
 def _matmul(m, n) -> tuple:
@@ -114,6 +115,13 @@ def _max_dev(m, n) -> float:
     difference is NaN.
     """
     return max_or_nan([abs(x - y) for x, y in zip(m, n)])
+
+
+def _unitarity_residual(m) -> float:
+    """``QMatrix2.unitarity_residual`` of a flat matrix."""
+    adj = _adjoint(m)
+    return max_or_nan((_max_dev(_matmul(m, adj), _FLAT_IDENTITY),
+                       _max_dev(_matmul(adj, m), _FLAT_IDENTITY)))
 
 
 class QMatrix2:
@@ -198,10 +206,7 @@ class QMatrix2:
         Either product implies the other for square quaternion matrices;
         measuring both is a cheap guard against arithmetic slips.
         """
-        flat = _flat(self)
-        adj = _adjoint(flat)
-        return max_or_nan((_max_dev(_matmul(flat, adj), _FLAT_IDENTITY),
-                           _max_dev(_matmul(adj, flat), _FLAT_IDENTITY)))
+        return _unitarity_residual(_flat(self))
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         return self.unitarity_residual() <= tol
@@ -245,45 +250,31 @@ class Coin:
     """A validated unitary coin together with its split parts.
 
     Attributes:
-        matrix: the unitary ``[[a, b], [c, d]]``.
+        matrix: the unitary ``[[a, b], [c, d]]``; ``flat`` is its flat 16-tuple.
         unitarity_residual: ``matrix.unitarity_residual()``, within ``DEFAULT_TOL``.
-        p: ``[[a, b], [0, 0]]`` (moves the walker left).
-        q: ``[[0, 0], [c, d]]`` (moves the walker right).
-        r: ``[[c, d], [0, 0]]`` and s: ``[[0, 0], [a, b]]``, the mates that
-           close {P, Q, R, S} under multiplication.
+        flat_basis: the split parts by letter as flat matrices, stored once:
+           P = ``[[a, b], [0, 0]]`` (moves the walker left), Q = ``[[0, 0], [c, d]]``
+           (moves it right), and the mates R = ``[[c, d], [0, 0]]`` and
+           S = ``[[0, 0], [a, b]]`` that close {P, Q, R, S} under multiplication.
+           ``p``, ``q``, ``r``, ``s`` and ``basis(letter)`` are ``QMatrix2`` views of it.
     """
 
-    __slots__ = ("matrix", "unitarity_residual", "p", "q", "r", "s")
+    __slots__ = ("matrix", "flat", "unitarity_residual", "flat_basis")
 
     def __init__(self, matrix: QMatrix2):
         # a NaN or infinite entry makes the residual NaN or infinite, so every
         # coin is finite and a*0 is an exact zero, which the walk relies on
-        residual = matrix.unitarity_residual()
+        flat = _flat(matrix)
+        residual = _unitarity_residual(flat)
         if not residual <= DEFAULT_TOL:
             raise NotUnitaryError(f"coin matrix is not unitary: residual {residual!r}")
-        zero = Quaternion()
-        self.matrix = matrix
-        self.unitarity_residual = residual
-        self.p = QMatrix2(matrix.e11, matrix.e12, zero, zero)
-        self.q = QMatrix2(zero, zero, matrix.e21, matrix.e22)
-        self.r = QMatrix2(matrix.e21, matrix.e22, zero, zero)
-        self.s = QMatrix2(zero, zero, matrix.e11, matrix.e12)
+        self.matrix, self.flat, self.unitarity_residual = matrix, flat, residual
+        self.flat_basis = _split(flat)
 
-    @property
-    def a(self) -> Quaternion:
-        return self.matrix.e11
-
-    @property
-    def b(self) -> Quaternion:
-        return self.matrix.e12
-
-    @property
-    def c(self) -> Quaternion:
-        return self.matrix.e21
-
-    @property
-    def d(self) -> Quaternion:
-        return self.matrix.e22
+    a = property(lambda self: self.matrix.e11)
+    b = property(lambda self: self.matrix.e12)
+    c = property(lambda self: self.matrix.e21)
+    d = property(lambda self: self.matrix.e22)
 
     def entry(self, name: str) -> Quaternion:
         if name not in ("a", "b", "c", "d"):
@@ -292,9 +283,14 @@ class Coin:
 
     def basis(self, letter: str) -> QMatrix2:
         try:
-            return {"P": self.p, "Q": self.q, "R": self.r, "S": self.s}[letter]
+            return _unflat(self.flat_basis[letter])
         except KeyError:
             raise ValueError(f"unknown basis letter {letter!r}") from None
+
+    p = property(lambda self: self.basis("P"))
+    q = property(lambda self: self.basis("Q"))
+    r = property(lambda self: self.basis("R"))
+    s = property(lambda self: self.basis("S"))
 
     def case(self) -> str:
         """Degeneracy class: ``"a=0"``, ``"b=0"``, or ``"abcd!=0"``, at ``DEFAULT_TOL``.
@@ -318,7 +314,7 @@ class Coin:
         worst deviation (NaN if any is NaN) is the table's ``residual``,
         which a corrupted coin drives above rounding.
         """
-        flats = _flat_basis(self)
+        flats = self.flat_basis
         table = ProductTable()
         deviations = []
         for (left, right), (entry_name, result) in PRODUCT_RULES.items():
@@ -340,27 +336,24 @@ class Coin:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def _preset_matrices() -> dict[str, QMatrix2]:
-    one, i, j, k = Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1)
-    return {
-        "hadamard": QMatrix2(_SQRT_HALF * one, _SQRT_HALF * one,
-                             _SQRT_HALF * one, -_SQRT_HALF * one),
-        "example-ijk": QMatrix2(_SQRT_HALF * one, _SQRT_HALF * i,
-                                _SQRT_HALF * j, _SQRT_HALF * k),
-        "flip": QMatrix2(0, 1, 1, 0),
-        "flip-neg": QMatrix2(0, 1, -1, 0),
-    }
-
-
-PRESET_NAMES = tuple(sorted(_preset_matrices()))
+_ONE, _I, _J, _K = Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1)
+_PRESETS: dict[str, QMatrix2] = {
+    "hadamard": QMatrix2(_SQRT_HALF * _ONE, _SQRT_HALF * _ONE,
+                         _SQRT_HALF * _ONE, -_SQRT_HALF * _ONE),
+    "example-ijk": QMatrix2(_SQRT_HALF * _ONE, _SQRT_HALF * _I,
+                            _SQRT_HALF * _J, _SQRT_HALF * _K),
+    "flip": QMatrix2(0, 1, 1, 0),
+    "flip-neg": QMatrix2(0, 1, -1, 0),
+}
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def preset_coin(name: str) -> Coin:
-    matrices = _preset_matrices()
-    if name not in matrices:
+    matrix = _PRESETS.get(name)
+    if matrix is None:
         raise ValueError(f"unknown coin preset {name!r}; "
                          f"available: {', '.join(PRESET_NAMES)}")
-    return Coin(matrices[name])
+    return Coin(matrix)
 
 
 def coin_from_json(data: dict) -> Coin:
@@ -390,8 +383,9 @@ def _load_json(text: str):
 
 def coin_from_spec(spec: str) -> Coin:
     """Resolve a preset name, inline JSON object, or path to a JSON file."""
-    if spec in _preset_matrices():
-        return preset_coin(spec)
+    matrix = _PRESETS.get(spec)
+    if matrix is not None:
+        return Coin(matrix)
     try:
         data = _load_json(spec)
     except FileNotFoundError:

@@ -19,8 +19,9 @@ takes C(n+2, l+1) - 4 steps in all for 0 < l < n instead of one per
 letter of every word, C(n, l) * (n - 1).
 
 The folds run on flat floats: a matrix is a 16-tuple ``(e11w, e11x, ...,
-e22z)`` folded through the flat kernel ``coin._matmul``, and a coefficient
-a 4-tuple ``(w, x, y, z)`` folded by ``_reduction_step``.  Both spell the
+e22z)``, read from the coin's stored split ``coin.flat_basis`` and folded
+through the flat kernel ``coin._matmul``, and a coefficient a 4-tuple
+``(w, x, y, z)`` folded by ``_reduction_step``.  Both spell the
 products out in the operation order of ``QMatrix2.__matmul__`` over
 ``Quaternion.__mul__`` then ``__add__``, products with a zero entry
 included, so every component has the bits of the scalar operators;
@@ -42,7 +43,6 @@ from .coin import (
     QMatrix2,
     _adjoint,
     _flat,
-    _flat_basis,
     _lmul,
     _matmul,
     _max_dev,
@@ -197,7 +197,7 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
-    basis = _flat_basis(coin)
+    basis = coin.flat_basis
     total = [0.0] * 16
     for product in _folds(basis.__getitem__,
                           lambda product, letter: _matmul(product, basis[letter]), n, l):
@@ -231,7 +231,7 @@ class PQRSDecomposition:
     residual: float = 0.0  # measured by decompose_pqrs; not part of to_json
 
     def reconstruct(self, coin: Coin) -> QMatrix2:
-        return _unflat(_reconstruct(_flat_basis(coin), self.p.components(), self.q.components(),
+        return _unflat(_reconstruct(coin.flat_basis, self.p.components(), self.q.components(),
                                     self.r.components(), self.s.components()))
 
     def to_json(self) -> dict:
@@ -249,13 +249,12 @@ def decompose_pqrs(coin: Coin, matrix: QMatrix2) -> PQRSDecomposition:
     residual that comes back with the coefficients therefore measures
     rounding, or a NaN, and that is what ``qqwalk xi --tol`` judges.
     """
-    flat, basis = _flat(matrix), _flat_basis(coin)
-    # [[p, r], [s, q]] = matrix @ U*, with U = [[a, b], [c, d]] read off P and
-    # Q: each coefficient is row · column of U*
-    prsq = _matmul(flat, _adjoint(basis["P"][0:8] + basis["Q"][8:16]))
+    flat = _flat(matrix)
+    # [[p, r], [s, q]] = matrix @ U*: each coefficient is row · column of U*
+    prsq = _matmul(flat, _adjoint(coin.flat))
     p, r, s, q = prsq[0:4], prsq[4:8], prsq[8:12], prsq[12:16]
     return PQRSDecomposition(Quaternion(*p), Quaternion(*q), Quaternion(*r), Quaternion(*s),
-                             _max_dev(_reconstruct(basis, p, q, r, s), flat))
+                             _max_dev(_reconstruct(coin.flat_basis, p, q, r, s), flat))
 
 
 def _reconstruct(basis: dict, p, q, r, s) -> list:

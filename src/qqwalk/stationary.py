@@ -74,7 +74,7 @@ def _coerce_coeffs(coeffs) -> list[tuple[Quaternion, Quaternion]]:
     for alpha, beta in coeffs:
         qa = alpha if isinstance(alpha, Quaternion) else Quaternion(alpha)
         qb = beta if isinstance(beta, Quaternion) else Quaternion(beta)
-        if qa.norm_sq() == 0.0 or qb.norm_sq() == 0.0:
+        if not (any(qa.components()) and any(qb.components())):  # a tiny square is 0.0
             raise ZeroCoefficientError("every coefficient pair must be nonzero")
         out.append((qa, qb))
     if not out:

@@ -12,9 +12,10 @@ the left.  Each site is stored as one flat tuple ``(Lw, Lx, Ly, Lz, Rw,
 Rx, Ry, Rz)``.  The public constructors check their ``(Quaternion,
 Quaternion)`` pairs once, ``evolve`` trusts the step's output, and only
 ``amplitude``, ``pairs`` and ``to_json`` build quaternions.  ``_step``
-spells the Hamilton products out in the operation order of
-``Quaternion.__mul__`` then ``__add__``, so every component has the bits
-of the scalar reference ``coin.matrix.apply(pair)``.
+reads the coin's stored flat matrix ``coin.flat`` and spells the Hamilton
+products out in the operation order of ``Quaternion.__mul__`` then
+``__add__``, so every component has the bits of the scalar reference
+``coin.matrix.apply(pair)``.
 
 A walk started from a point is nonzero only where ``x = t (mod 2)``.  The
 finite window pads with ``None``: two ``None`` neighbours give ``None``, one
@@ -52,7 +53,7 @@ def _flatten(pairs) -> list:
         if not isinstance(left, Quaternion) or not isinstance(right, Quaternion):
             raise TypeError("amplitudes must be Quaternion pairs")
         sites.append(left.components() + right.components())
-    if not any(_weights(sites)):
+    if not any(map(any, sites)):  # by components: a tiny amplitude's square is 0.0
         raise ValueError("state needs at least one nonzero amplitude pair")
     return sites
 
@@ -68,8 +69,7 @@ def _pairs(state) -> tuple[AmplitudePair, ...]:
 
 def _step(coin: Coin, lefts, rights) -> list:
     """New site j: ``a psiL + b psiR`` of ``rights[j]``, then ``c psiL + d psiR`` of ``lefts[j]``."""
-    aw, ax, ay, az, bw, bx, by, bz = coin.a.components() + coin.b.components()
-    cw, cx, cy, cz, dw, dx, dy, dz = coin.c.components() + coin.d.components()
+    aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = coin.flat
     out = []
     for s, t in zip(lefts, rights):
         up = down = _ZERO_HALF

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import math
 
-from qqwalk import Quaternion
+from qqwalk import Coin, Quaternion
+from qqwalk.coin import _flat, _split
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def q(w=0.0, x=0.0, y=0.0, z=0.0) -> Quaternion:
     return Quaternion(w, x, y, z)
+
+
+def unchecked_coin(matrix) -> Coin:
+    """A coin over any ``QMatrix2``, unitary or not, stored as ``Coin`` stores it."""
+    coin = object.__new__(Coin)
+    coin.matrix, coin.flat = matrix, _flat(matrix)
+    coin.flat_basis = _split(coin.flat)
+    return coin
 
 
 def assert_qclose(actual: Quaternion, expected: Quaternion, tol: float = 1e-12):

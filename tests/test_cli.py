@@ -293,6 +293,16 @@ def test_non_finite_input_exits_2(capsys):
     assert out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("tiny", ["1e-100", "1e-200", "5e-324"])
+def test_eigen_check_takes_tiny_amplitudes(capsys, tiny):
+    # 1e-200 squares to 0.0; the state is still nonzero and an eigenvector of flip
+    state = f'{{"kind":"periodic","amplitudes":[[[{tiny},0,0,0],[{tiny},0,0,0]]]}}'
+    code, out, err = run_cli(capsys, "eigen-check", "--coin", "flip",
+                             "--eigenvalue", "1", "--state", state)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["max_residual"] == 0.0
+
+
 def test_bad_seed_variable_exits_2_for_verify_only(capsys, monkeypatch):
     monkeypatch.setenv("QQWALK_SEED", "abc")
     code, out, err = run_cli(capsys, "verify", "--suite", "unitary")

@@ -33,7 +33,7 @@ from qqwalk import (
 from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES, _flat, _matmul
 from qqwalk.quaternion import max_or_nan
 
-from conftest import SQRT_HALF, assert_mclose, assert_qclose, q
+from conftest import SQRT_HALF, assert_mclose, assert_qclose, q, unchecked_coin
 
 
 def random_matrix(rng: Random) -> QMatrix2:
@@ -145,8 +145,14 @@ def test_product_table_random_coins():
 
 def test_product_table_detects_corruption():
     coin = preset_coin("hadamard")
-    coin.p = QMatrix2(1, 1, 0, 0)  # no longer the top row of U
+    coin.flat_basis["P"] = _flat(QMatrix2(1, 1, 0, 0))  # no longer the top row of U
     assert coin.product_table().residual > 1e-10
+
+
+def test_product_table_checks_the_rules(monkeypatch):
+    # P Q = b R; a wrong rule must show in the residual, not only a wrong basis
+    monkeypatch.setitem(PRODUCT_RULES, ("P", "Q"), ("a", "R"))
+    assert preset_coin("example-ijk").product_table().residual > 1e-10
 
 
 def test_random_sampler_unitary_and_subfields():
@@ -234,7 +240,7 @@ def test_non_finite_coin_is_not_unitary():
 
 def test_product_table_detects_nan_corruption():
     coin = preset_coin("hadamard")
-    coin.p = QMatrix2(q(math.nan), coin.b, 0, 0)
+    coin.flat_basis["P"] = _flat(QMatrix2(q(math.nan), coin.b, 0, 0))
     assert math.isnan(coin.product_table().residual)
 
 
@@ -311,18 +317,6 @@ _matrices = st.one_of(
               st.integers(0, 2 ** 32), st.sampled_from(("real", "complex", "quaternion"))))
 
 
-def _unchecked_coin(matrix: QMatrix2) -> Coin:
-    """A coin over any matrix, unitary or not, split as ``Coin`` documents."""
-    coin = object.__new__(Coin)
-    zero = Quaternion()
-    coin.matrix = matrix
-    coin.p = QMatrix2(matrix.e11, matrix.e12, zero, zero)
-    coin.q = QMatrix2(zero, zero, matrix.e21, matrix.e22)
-    coin.r = QMatrix2(matrix.e21, matrix.e22, zero, zero)
-    coin.s = QMatrix2(zero, zero, matrix.e11, matrix.e12)
-    return coin
-
-
 def _hexes(*quaternions):
     return [v.hex() for entry in quaternions for v in entry.components()]
 
@@ -341,7 +335,7 @@ def test_flat_kernel_is_bit_identical_to_the_scalar_operators(matrix, other, coe
     unitarity = max_or_nan(((matrix @ adj).max_dev(ident), (adj @ matrix).max_dev(ident)))
     assert matrix.unitarity_residual().hex() == unitarity.hex()
 
-    coin = _unchecked_coin(matrix)
+    coin = unchecked_coin(matrix)
     table = max_or_nan([(coin.entry(name) * coin.basis(result))
                         .max_dev(coin.basis(left) @ coin.basis(right))
                         for (left, right), (name, result) in PRODUCT_RULES.items()])

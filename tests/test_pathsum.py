@@ -6,7 +6,6 @@ import functools
 import itertools
 import math
 import sys
-import types
 from random import Random
 
 import pytest
@@ -32,7 +31,7 @@ from qqwalk import (
 from qqwalk import pathsum
 from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES
 
-from conftest import SQRT_HALF, assert_mclose, assert_qclose, q
+from conftest import SQRT_HALF, assert_mclose, assert_qclose, q, unchecked_coin
 
 
 def test_word_construction():
@@ -303,16 +302,8 @@ def test_decompose_round_trip_random_combos():
 
 def test_decompose_rejects_non_orthonormal_rows():
     # projection formulas rely on row orthonormality; feed them a shear
-    shear = QMatrix2(1, 1, 0, 1)
-    zero = Quaternion()
-    fake = types.SimpleNamespace(
-        a=shear.e11, b=shear.e12, c=shear.e21, d=shear.e22,
-        p=QMatrix2(shear.e11, shear.e12, zero, zero),
-        q=QMatrix2(zero, zero, shear.e21, shear.e22),
-        r=QMatrix2(shear.e21, shear.e22, zero, zero),
-        s=QMatrix2(zero, zero, shear.e11, shear.e12),
-    )
-    assert decompose_pqrs(fake, QMatrix2(1, 0, 0, 0)).residual > 1e-10
+    shear = unchecked_coin(QMatrix2(1, 1, 0, 1))
+    assert decompose_pqrs(shear, QMatrix2(1, 0, 0, 0)).residual > 1e-10
 
 
 def test_walk_consistency():

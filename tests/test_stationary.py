@@ -95,6 +95,12 @@ def test_build_flip_rejects_zero_coefficient():
         build_eigenstate_flip(1, [(q(1), q())])
 
 
+def test_build_flip_takes_tiny_coefficients():
+    # 1e-200 squares to 0.0, but it is a nonzero coefficient
+    candidate = build_eigenstate_flip(1, [(q(1e-200), q(0, 0, 1e-200))])
+    assert right_eigen_check(preset_coin("flip"), candidate) == 0.0
+
+
 def test_build_flipneg_examples():
     flip_neg = preset_coin("flip-neg")
     for lam, coeffs in [

@@ -273,6 +273,16 @@ def test_periodic_evolution_preserves_period():
 def test_finite_state_rejects_zero():
     with pytest.raises(ValueError):
         FiniteSupportState(0, [(q(), q())])
+    with pytest.raises(ValueError):
+        PeriodicState([(q(-0.0), q()), (q(), q(0.0, -0.0))])
+
+
+@pytest.mark.parametrize("tiny", [1e-200, 5e-324])
+def test_tiny_amplitudes_are_not_zero(tiny):
+    # their squares underflow to 0.0, but the state is not the zero state
+    for state in (FiniteSupportState(0, [(q(), q(0, 0, tiny))]),
+                  PeriodicState([(q(tiny), q()), (q(), q())])):
+        assert state.pairs[0] != (q(), q())
 
 
 def test_state_json_round_trip():
