@@ -52,6 +52,7 @@ from .pathsum import (
     path_sum,
     path_sum_bruteforce,
     path_sum_reduced,
+    path_sums,
     reduce_word,
 )
 from .stationary import (
@@ -89,8 +90,8 @@ __all__ = [
     "state_from_json", "measure_from_json",
     "distribution", "distributions", "hadamard_three_step_distribution",
     "random_unit_pair",
-    "PQWord", "PQRSDecomposition", "reduce_word",
-    "path_sum", "path_sum_bruteforce", "path_sum_reduced", "decompose_pqrs",
+    "PQWord", "PQRSDecomposition", "reduce_word", "decompose_pqrs",
+    "path_sum", "path_sums", "path_sum_bruteforce", "path_sum_reduced",
     "EigenCandidate", "right_eigen_check",
     "build_eigenstate_flip", "build_eigenstate_flipneg",
     "stationary_residual", "verify_stationary", "check_two_step_uniformity",

@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dist = sub.add_parser("dist", help="position distributions for n = 0..steps")
     dist.add_argument("--coin", help="preset name, inline JSON, or JSON file")
-    dist.add_argument("--init", help="initial spinor 'alpha,beta' or JSON pair")
+    dist.add_argument("--init", help="initial spinor 'alpha,beta' or JSON pair; "
+                                     "write --init=VALUE when VALUE starts with '-'")
     dist.add_argument("--steps", type=int, help="number of steps (default 0)")
     dist.add_argument("--format", choices=("csv", "json"), help="output format")
     dist.add_argument("--config", help="JSON config file (flags override it)")
@@ -200,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     eigen.add_argument("--state", required=True,
                        help="periodic state JSON (inline or file)")
     eigen.add_argument("--eigenvalue", required=True,
-                       help="quaternion text, e.g. '0+1i+0j+0k'")
+                       help="quaternion text, e.g. '0+1i+0j+0k'; "
+                            "write --eigenvalue=VALUE when VALUE starts with '-'")
     eigen.set_defaults(handler=_cmd_eigen_check)
 
     return parser

@@ -3,9 +3,10 @@
 The amplitude a point-started walker carries to site ``m - l`` after
 ``n = l + m`` steps is the sum, over every arrangement of ``l`` copies of
 P and ``m`` copies of Q, of the corresponding operator word applied to the
-initial spinor, which is what the walk itself computes: :func:`path_sum`
-runs the walk from the two unit spinors, at O(n^2) quaternion products
-for any n.  Two capped reference oracles enumerate all 2^n words instead:
+initial spinor, which is what the walk itself computes: :func:`path_sums`
+reads every split of n from the walks from the two unit spinors, split l
+at site n - 2l and column j from spinor j, at O(n^2) quaternion products
+for any n.  Two capped reference oracles enumerate one split's 2^n words:
 
 * brute force: multiply each word out as 2x2 quaternion matrices;
 * reduced: fold each word through the closed product table, which
@@ -177,19 +178,24 @@ def _folds(first, step, n: int, l: int):
             stack.append((folded, "P", depth + 1, p_left - 1))
 
 
-def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
-    """Same sum as :func:`path_sum_bruteforce`, by propagation, for any n.
+def path_sums(coin: Coin, n: int) -> list[QMatrix2]:
+    """``Xi_n(l, n - l)`` for l = 0..n, by propagation, for any n >= 0.
 
-    The walk from a spinor psi carries ``Xi_n(l, m) psi`` to site ``m - l``
-    after n steps, so column j of the sum is that amplitude for the walk
-    started from the j-th unit spinor.
+    Column j of split l is what the walk from the j-th unit spinor carries
+    to site n - 2l, so one pair of walks gives every split.
     """
-    _check_split(n, l, m)
+    _check_split(n, 0, n)
     walks = [FiniteSupportState.delta(spinor) for spinor in ((ONE, ZERO), (ZERO, ONE))]
     for _ in range(n):
         walks = [state.evolve(coin) for state in walks]
-    (e11, e21), (e12, e22) = (state.amplitude(m - l) for state in walks)
-    return QMatrix2(e11, e12, e21, e22)
+    columns = ([state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks)
+    return [QMatrix2(e11, e12, e21, e22) for (e11, e21), (e12, e22) in zip(*columns)]
+
+
+def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
+    """Same sum as :func:`path_sum_bruteforce`, by propagation: split l of :func:`path_sums`."""
+    _check_split(n, l, m)
+    return path_sums(coin, n)[l]
 
 
 def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:

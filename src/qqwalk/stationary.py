@@ -206,7 +206,8 @@ class MeasureClass:
 
 
 def _fit_exponential_side(mu: Measure, window: int, sign: int):
-    """Fit log mu = log C - |x| log gamma on one side; None if it fails."""
+    """Fit log mu = log C - |x| log gamma on one side; None if it fails, or if
+    its slope moves log mu by at most ``EXP_FIT_TOL``, which the data do not resolve."""
     xs: list[float] = []
     ys: list[float] = []
     for step in range(1, window + 1):
@@ -219,7 +220,7 @@ def _fit_exponential_side(mu: Measure, window: int, sign: int):
         return None
     slope, intercept = linear_regression(xs, ys)
     residual = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
-    if residual > EXP_FIT_TOL:
+    if residual > EXP_FIT_TOL or abs(slope) * (xs[-1] - xs[0]) <= EXP_FIT_TOL:
         return None
     gamma = math.exp(-slope)
     return gamma, math.exp(intercept)

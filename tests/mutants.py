@@ -1,0 +1,146 @@
+"""Mutants that the bit-identity and contract tests must kill.
+
+Each row names a file under ``src/qqwalk``, an exact piece of its text, a
+replacement, and the tests that must fail once the replacement is made.
+For each row the script copies ``src/`` to a temporary directory, applies
+the edit there, and runs those tests with ``PYTHONPATH`` on the copy; the
+working tree is never edited.  First it runs every named test on an
+unedited copy, which must pass, and it checks that ``qqwalk`` is imported
+from the copy, not from an installed package.
+
+A row whose old text does not occur exactly once fails the script, so a
+refactor that moves a mutated line must update its row.  A mutant
+survives when any of its tests passes; the script then exits 1.
+
+Run it from anywhere, with pytest, hypothesis and numpy installed:
+
+    python tests/mutants.py
+
+It is not named ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# A pytest plugin, written next to each copy, with a hypothesis profile that
+# does not shrink: a killed mutant needs one failing example, not the least.
+PLUGIN = """from hypothesis import Phase, settings
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate))
+"""
+
+# (file under src/qqwalk, exact old text, new text, test node ids that must fail)
+MUTANTS = [
+    ("walk.py",  # _step: the coin row's second product joins the first one's sum
+     "up = ((aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),",
+     "up = (aw * lw - ax * lx - ay * ly - az * lz + bw * rw - bx * rx - by * ry - bz * rz,",
+     ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
+    ("coin.py",  # _matmul: the same regrouping in the flat 2x2 kernel
+     "return ((aw * ew - ax * ex - ay * ey - az * ez) + (bw * gw - bx * gx - by * gy - bz * gz),",
+     "return (aw * ew - ax * ex - ay * ey - az * ez + bw * gw - bx * gx - by * gy - bz * gz,",
+     ["tests/test_coin.py::test_flat_kernel_is_bit_identical_to_the_scalar_operators"]),
+    ("coin.py",  # _max_dev: the builtin max drops a NaN that is not first
+     "return max_or_nan([abs(x - y) for x, y in zip(m, n)])",
+     "return max([abs(x - y) for x, y in zip(m, n)])",
+     ["tests/test_coin.py::test_flat_kernel_is_bit_identical_to_the_scalar_operators"]),
+    ("pathsum.py",  # _reduction_step: the real part summed as w - (x + y + z)
+     "return (cw * ew - cx * ex - cy * ey - cz * ez,",
+     "return (cw * ew - (cx * ex + cy * ey + cz * ez),",
+     ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
+    ("coin.py",  # _flat: a tuple sized by resizing, outside the tuple free list
+     "return (matrix.e11.components() + matrix.e12.components()\n"
+     "            + matrix.e21.components() + matrix.e22.components())",
+     "return tuple(c for e in (matrix.e11, matrix.e12, matrix.e21, matrix.e22)\n"
+     "                 for c in e.components())",
+     ["tests/test_pathsum.py::test_decompose_keeps_no_blocks_across_calls"]),
+    ("walk.py",  # _flatten: a nonzero state judged by weights, which underflow
+     "if not any(map(any, sites)):",
+     "if not any(_weights(sites)):",
+     ["tests/test_walk.py::test_tiny_amplitudes_are_not_zero"]),
+    ("pathsum.py",  # path_sums: splits read from site -n up, so l and n - l swap
+     "for x in range(n, -n - 1, -2)",
+     "for x in range(-n, n + 1, 2)",
+     ["tests/test_pathsum.py::test_path_sums_match_the_bruteforce_oracle_at_every_split[hadamard]",
+      "tests/test_pathsum.py::test_path_sums_keep_the_bits_of_one_walk_per_split[example-ijk]"]),
+    ("stationary.py",  # _fit_exponential_side: an unresolved slope taken as a class
+     "if residual > EXP_FIT_TOL or abs(slope) * (xs[-1] - xs[0]) <= EXP_FIT_TOL:",
+     "if residual > EXP_FIT_TOL:",
+     ["tests/test_cli.py::test_classify_near_flat_measure_is_other[noise-order-1]"]),
+]
+
+
+def _copy_src(dest: Path) -> Path:
+    shutil.copytree(ROOT / "src", dest / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    (dest / "mutants_profile.py").write_text(PLUGIN, encoding="utf-8")
+    return dest / "src"
+
+
+def _env(src: Path) -> dict:
+    path = os.pathsep.join([str(src), str(src.parent)])  # the copy, then the plugin
+    return {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _check_import(src: Path, cwd: Path) -> None:
+    where = subprocess.run([sys.executable, "-c", "import qqwalk; print(qqwalk.__file__)"],
+                           env=_env(src), cwd=cwd, capture_output=True, text=True, check=True)
+    if not Path(where.stdout.strip()).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"qqwalk is imported from {where.stdout.strip()}, not from the copy {src}")
+
+
+def _pytest(src: Path, cwd: Path, node_ids: list[str]) -> tuple[int, str]:
+    """Exit code and output of pytest on ``node_ids``, importing the copy at ``src``.
+
+    The run starts in ``cwd``, a temporary directory, so hypothesis keeps
+    its example database there and not in the checkout.
+    """
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-p", "mutants_profile", "--hypothesis-profile=mutants", "--hypothesis-seed=0",
+            *(str(ROOT / node) for node in node_ids)]
+    run = subprocess.run(argv, env=_env(src), cwd=cwd, capture_output=True, text=True)
+    return run.returncode, run.stdout + run.stderr
+
+
+def main() -> int:
+    started = time.perf_counter()
+    for file, old, _, _ in MUTANTS:
+        count = (ROOT / "src" / "qqwalk" / file).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            sys.exit(f"mutant text occurs {count} times in {file}, not once: {old!r}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(Path(tmp) / "unedited")
+        _check_import(src, Path(tmp))
+        node_ids = sorted({node for *_, nodes in MUTANTS for node in nodes})
+        code, output = _pytest(src, Path(tmp), node_ids)
+        if code != 0:
+            print(output)
+            sys.exit("the mutants' tests do not pass on the unedited copy")
+
+    survivors = 0
+    for index, (file, old, new, node_ids) in enumerate(MUTANTS):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = _copy_src(Path(tmp) / "mutant")
+            path = src / "qqwalk" / file
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+            code, output = _pytest(src, Path(tmp), node_ids)
+        summary = output.strip().splitlines()[-1] if output.strip() else ""
+        killed = code == 1 and not re.search(r"\b\d+ passed\b", summary)
+        survivors += not killed
+        print(f"{'killed' if killed else 'SURVIVED'} #{index} {file}: {new.strip()!r} ({summary})")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - started:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,9 +16,11 @@ import pytest
 
 import qqwalk
 from qqwalk import (
+    K,
     QMatrix2,
     Quaternion,
     build_eigenstate_flip,
+    build_eigenstate_flipneg,
     path_sum_bruteforce,
     preset_coin,
 )
@@ -327,6 +329,52 @@ def test_classify_negative_window_exits_2(capsys):
                            "--window", "-3")
     assert code == 2
     assert "window" in err
+
+
+@pytest.mark.parametrize("values", [
+    [1.000000004, 1.000000001, 1.000000003, 1, 1.000000002, 1.000000001, 1.000000005],
+    [1.000000001, 1.000000004, 1.000000002, 1, 1.000000003, 1.000000005, 1.000000001],
+], ids=["noise-order-1", "noise-order-2"])
+def test_classify_near_flat_measure_is_other(capsys, values):
+    # a flat measure with noise between tol and EXP_FIT_TOL: its fitted slope
+    # changes log mu by about 1e-9 over the window, which the fit cannot
+    # resolve, so neither the slope's sign nor a gamma of 1 - 1e-9 is a class
+    measure = json.dumps({"kind": "finite", "offset": -3, "values": values})
+    code, out, _ = run_cli(capsys, "classify", "--window", "3", "--measure", measure)
+    assert code == 0
+    assert json.loads(out)["kind"] == "other"
+
+
+@pytest.mark.parametrize("command, flag", [("dist", "--init"), ("eigen-check", "--eigenvalue")])
+def test_dash_leading_value_help_names_the_equals_form(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"{flag}=" in capsys.readouterr().out
+
+
+def test_dash_leading_init_takes_the_equals_form(capsys):
+    argv = ("dist", "--coin", "hadamard", "--steps", "1")
+    code, out, err = run_cli(capsys, *argv, "--init=-1,0")
+    assert (code, err) == (0, "")
+    assert parse_csv(out) == {(0, 0): 1.0, (1, -1): SQRT_HALF * SQRT_HALF,
+                              (1, 1): SQRT_HALF * SQRT_HALF}
+    assert out == run_cli(capsys, *argv, "--init", "1,0")[1]  # -1 is a global phase
+    # after a space, argparse reads the value as an option: exit 2, as documented
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--init", "-1,0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_dash_leading_eigenvalue_takes_the_equals_form(capsys):
+    state = json.dumps(build_eigenstate_flipneg(-K, [(Quaternion(1), Quaternion(1))])
+                       .state.to_json())
+    code, out, err = run_cli(capsys, "eigen-check", "--coin", "flip-neg",
+                             "--state", state, "--eigenvalue=-k")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["pass"] is True and report["max_residual"] <= 1e-12
 
 
 #: Address-space cap for the huge-window child: a few times what the

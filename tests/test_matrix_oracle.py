@@ -2,7 +2,7 @@
 
 ``matrix_walk`` multiplies real 4x4 matrices and never the package's
 quaternions, so these pins hold beyond the 2^n word cap, where
-``path_sum`` is the walk itself.
+``path_sums`` is the walk itself.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ import numpy as np
 import pytest
 
 from qqwalk import (
-    ONE,
-    ZERO,
-    FiniteSupportState,
     PolarInitialState,
     QMatrix2,
     complexify_initial_state,
     distributions,
-    path_sum,
+    path_sums,
     preset_coin,
     random_unit_pair,
     random_unitary_coin,
@@ -93,9 +90,8 @@ def test_path_sum_entries_match_the_oracle_propagation():
         *_, final = walk(_entries(coin), unit, steps)
         finals.append(final)
     (left1, right1), (left2, right2) = finals
-    for l in (0, 1, 100, 199, 200):
+    for l, xi in enumerate(path_sums(coin, steps)):
         row = 2 * (steps - l)  # site m - l = steps - 2 l, at row site + steps
-        xi = path_sum(coin, steps, l, steps - l)
         for entry, expected in ((xi.e11, left1[row]), (xi.e21, right1[row]),
                                 (xi.e12, left2[row]), (xi.e22, right2[row])):
             assert float(np.abs(np.array(entry.components()) - expected).max()) <= SITE_TOL
@@ -104,17 +100,10 @@ def test_path_sum_entries_match_the_oracle_propagation():
 @pytest.mark.parametrize("coin", [preset_coin("example-ijk"), random_unitary_coin(Random(35))],
                          ids=["example-ijk", "random-coin"])
 def test_path_sums_at_200_steps_sum_to_the_identity(coin):
-    # sum_l Xi_n(l, n - l)^dagger Xi_n(l, n - l) = I.  Column j of Xi_n(l, n - l)
-    # is what the walk from the j-th unit spinor carries to site n - 2 l, so
-    # the two walks path_sum builds give every split at once.
+    # sum_l Xi_n(l, n - l)^dagger Xi_n(l, n - l) = I, every split from one call
     steps = 200
-    walks = [FiniteSupportState.delta(unit) for unit in ((ONE, ZERO), (ZERO, ONE))]
-    for _ in range(steps):
-        walks = [state.evolve(coin) for state in walks]
     total = QMatrix2.zeros()
-    for l in range(steps + 1):
-        (e11, e21), (e12, e22) = (state.amplitude(steps - 2 * l) for state in walks)
-        xi = QMatrix2(e11, e12, e21, e22)
+    for xi in path_sums(coin, steps):
         total = total + xi.adjoint() @ xi
     assert total.max_dev(QMatrix2.identity()) <= SITE_TOL
 

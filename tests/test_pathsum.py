@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
+import json
 import math
 import sys
 from random import Random
@@ -23,6 +25,7 @@ from qqwalk import (
     path_sum,
     path_sum_bruteforce,
     path_sum_reduced,
+    path_sums,
     preset_coin,
     random_unit_pair,
     random_unitary_coin,
@@ -235,7 +238,8 @@ def test_reduced_folds_each_shared_prefix_once(monkeypatch):
 def test_oracles_keep_no_blocks_across_calls():
     # a tuple built from an iterator is sized by resizing, outside CPython's
     # tuple free list, and freeing it grows that list: 1000 blocks here when
-    # _flat read an iterator, 500 when the reduced totals did
+    # _flat read an iterator, 500 when the reduced totals did; the oracles
+    # read the coin's stored split, so the next test guards _flat
     coin = preset_coin("hadamard")
     for oracle in (path_sum_bruteforce, path_sum_reduced):
         oracle(coin, 6, 3, 3)
@@ -243,6 +247,18 @@ def test_oracles_keep_no_blocks_across_calls():
         for _ in range(500):
             oracle(coin, 6, 3, 3)
         assert sys.getallocatedblocks() - before < 100
+
+
+def test_decompose_keeps_no_blocks_across_calls():
+    # decompose_pqrs flattens its matrix on every call: 500 blocks here when
+    # _flat built its tuple from an iterator
+    coin = preset_coin("hadamard")
+    matrix = path_sum(coin, 6, 3, 3)
+    decompose_pqrs(coin, matrix)
+    before = sys.getallocatedblocks()
+    for _ in range(500):
+        decompose_pqrs(coin, matrix)
+    assert sys.getallocatedblocks() - before < 100
 
 
 def test_row_sum_is_coin_power():
@@ -347,12 +363,50 @@ def test_path_sums_beyond_cap_form_a_resolution_of_identity():
     # sum_l Xi^dagger Xi over the splits of n is the identity for a unitary
     # coin, because the walk preserves the norm of every initial spinor
     coin = random_unitary_coin(Random(40))
-    n = 40
     total = QMatrix2.zeros()
-    for l in range(n + 1):
-        xi = path_sum(coin, n, l, n - l)
+    for xi in path_sums(coin, 40):
         total = total + xi.adjoint() @ xi
     assert_mclose(total, QMatrix2.identity(), 1e-10)
+
+
+def test_path_sums_return_one_matrix_per_split():
+    coin = random_unitary_coin(Random(41))
+    for n in (0, 1, 2, 7, 30):
+        assert len(path_sums(coin, n)) == n + 1
+    assert path_sums(coin, 0) == [QMatrix2.identity()]
+    with pytest.raises(InvalidSplitError):
+        path_sums(coin, -1)
+
+
+_SPLIT_COINS = {**{name: preset_coin(name) for name in PRESET_NAMES},
+                **{f"random-{entries}": random_unitary_coin(Random(42), entries)
+                   for entries in ("real", "complex", "quaternion")}}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_COINS))
+def test_path_sums_match_the_bruteforce_oracle_at_every_split(name):
+    coin = _SPLIT_COINS[name]
+    for n in range(11):
+        for l, xi in enumerate(path_sums(coin, n)):
+            assert_mclose(xi, path_sum_bruteforce(coin, n, l, n - l), 1e-10)
+
+
+# sha256 of the to_json of every split at n <= 12, as one path_sum call per
+# split computed them from its own pair of walks: one pair for all splits
+# must give every split the same bits
+_SPLIT_DIGESTS = {
+    "example-ijk": "1d60b0710998b62d116391b2e531136eb8321d5db12b9eaec9defb47ebbceea0",
+    "flip": "810a73488dc85e72f7fb2641523ed5b8b147a0441c4d0c47819998318a35f32c",
+    "flip-neg": "598edf2cd92c587b2a0bebb3961db7e5d6f59cc6f56eabea138c1c023041d804",
+    "hadamard": "ca3a23dfcad0f0e88a5cf086eec82deda6f54777236dcdaede3efc274b7a6283",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_DIGESTS))
+def test_path_sums_keep_the_bits_of_one_walk_per_split(name):
+    coin = preset_coin(name)
+    text = json.dumps([xi.to_json() for n in range(13) for xi in path_sums(coin, n)])
+    assert hashlib.sha256(text.encode()).hexdigest() == _SPLIT_DIGESTS[name]
 
 
 def test_decompose_rejects_nan_matrix():
