@@ -13,8 +13,12 @@ The coin algebra runs on one flat kernel: a matrix is a 16-tuple
 and ``max_dev`` in their operation order, products with a zero entry
 included, so every component and residual has the bits of the scalar
 operators.  A ``Coin`` flattens its matrix once, as ``coin.flat``, and
-stores its split once, as ``coin.flat_basis``; validation, the product
-table, the walk step, the path-sum folds and the decomposition read them.
+stores its split once, as ``coin.flat_basis``.  Validation, the walk step,
+the brute-force path-sum fold (which reads the rows ``(a, b)`` and
+``(c, d)``) and the decomposition (which multiplies by the adjoint of U)
+read ``coin.flat``; the product table, ``Coin.basis`` and the P/Q/R/S
+reconstruction, where the reduced path-sum fold ends, read
+``coin.flat_basis``.
 The ``QMatrix2`` operators stay as the scalar reference: the tests compare
 the kernel with them, and verify's row check multiplies with them.
 """

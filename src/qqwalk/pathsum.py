@@ -19,22 +19,42 @@ bit-stable across runs.  Words that share a prefix share its fold, which
 takes C(n+2, l+1) - 4 steps in all for 0 < l < n instead of one per
 letter of every word, C(n, l) * (n - 1).
 
-The folds run on flat floats: a matrix is a 16-tuple ``(e11w, e11x, ...,
-e22z)``, read from the coin's stored split ``coin.flat_basis`` and folded
-through the flat kernel ``coin._matmul``, and a coefficient a 4-tuple
-``(w, x, y, z)`` folded by ``_reduction_step``.  Both spell the
-products out in the operation order of ``QMatrix2.__matmul__`` over
-``Quaternion.__mul__`` then ``__add__``, products with a zero entry
-included, so every component has the bits of the scalar operators;
-quaternions are built once, from the totals.  The word-by-word tests in
-``tests/test_pathsum.py`` pin that equality.  ``decompose_pqrs`` and
-``PQRSDecomposition.reconstruct`` run on the same kernel and build
-``QMatrix2`` and ``Quaternion`` objects only for what they return.
+The folds run on flat floats, and quaternions are built once, from the
+totals.  Brute force carries one row per word: P = [[a, b], [0, 0]] and
+Q = [[0, 0], [c, d]] each have a zero row, and a word's product keeps the
+zero row of its first letter, the bottom one after a P and the top one
+after a Q.  The other row is an 8-tuple ``(u, v)``, read from
+``coin.flat``, and ``_row_step`` maps it to ``(u a, u b)`` on a P and to
+``(v c, v d)`` on a Q; words that start with P are totalled into the top
+row and the others into the bottom row.  The reduced fold carries a
+coefficient 4-tuple ``(w, x, y, z)`` through ``_reduction_step``.  Both
+spell each product out in the operation order of ``Quaternion.__mul__``
+and each sum in that of ``__add__``.
+
+The row fold leaves out the terms of ``QMatrix2.__matmul__`` that
+multiply a zero entry, and the zero row of each word, which a matrix fold
+adds to its totals.  Every total still keeps the bits of the scalar
+operators:
+
+* each value left out is a finite float times a zero, or a sum of such
+  products (the entries of a unitary coin are at most 1 in norm), so it
+  is +0.0 or -0.0;
+* adding a signed zero to a nonzero float leaves it unchanged, so every
+  nonzero value of the fold keeps its bits, and a zero value can differ
+  only in its sign;
+* each total starts at +0.0, and under round-to-nearest a sum that starts
+  at +0.0 never becomes -0.0, so no sign of zero reaches a total.
+
+The word-by-word tests in ``tests/test_pathsum.py`` pin that equality.
+``decompose_pqrs`` and ``PQRSDecomposition.reconstruct`` run on the flat
+2x2 kernel of ``coin`` (``_matmul``, ``_lmul``) and build ``QMatrix2``
+and ``Quaternion`` objects only for what they return.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,6 +147,25 @@ def _reduction_step(coin: Coin):
     return step
 
 
+def _row_step(coin: Coin):
+    """The brute-force fold step ``(u, v), L -> (u, v) @ L`` on a word's nonzero row.
+
+    ``(u, v) @ P = (u a, u b)`` and ``(u, v) @ Q = (v c, v d)``; the terms
+    with a zero entry of P or Q are left out.
+    """
+    flat = coin.flat
+    rules = {"P": (0, flat[0:8]), "Q": (4, flat[8:16])}
+
+    def step(row, letter):
+        start, (ew, ex, ey, ez, fw, fx, fy, fz) = rules[letter]
+        uw, ux, uy, uz = row[start:start + 4]
+        return (uw * ew - ux * ex - uy * ey - uz * ez, uw * ex + ux * ew + uy * ez - uz * ey,
+                uw * ey - ux * ez + uy * ew + uz * ex, uw * ez + ux * ey - uy * ex + uz * ew,
+                uw * fw - ux * fx - uy * fy - uz * fz, uw * fx + ux * fw + uy * fz - uz * fy,
+                uw * fy - ux * fz + uy * fw + uz * fx, uw * fz + ux * fy - uy * fx + uz * fw)
+    return step
+
+
 _FLAT_ONE = ONE.components()
 
 
@@ -199,16 +238,30 @@ def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
 
 
 def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
-    """Sum of all C(n, l) operator words, each multiplied out as matrices; n <= WORD_CAP."""
+    """Sum of all C(n, l) operator words, each multiplied out as matrices; n <= WORD_CAP.
+
+    Each word is folded as its nonzero row (see the module docstring).  The
+    C(n - 1, l - 1) words that start with P come first in the enumeration
+    and total the top row; the rest total the bottom row.
+    """
     _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
-    basis = coin.flat_basis
-    total = [0.0] * 16
-    for product in _folds(basis.__getitem__,
-                          lambda product, letter: _matmul(product, basis[letter]), n, l):
-        total = [t + p for t, p in zip(total, product)]
-    return _unflat(total)
+    flat = coin.flat
+    rows = _folds({"P": flat[0:8], "Q": flat[8:16]}.__getitem__, _row_step(coin), n, l)
+    top, bottom = [0.0] * 8, [0.0] * 8
+    for total, words in ((top, itertools.islice(rows, math.comb(n - 1, l - 1) if l else 0)),
+                         (bottom, rows)):
+        for uw, ux, uy, uz, vw, vx, vy, vz in words:
+            total[0] += uw
+            total[1] += ux
+            total[2] += uy
+            total[3] += uz
+            total[4] += vw
+            total[5] += vx
+            total[6] += vy
+            total[7] += vz
+    return _unflat(top + bottom)
 
 
 def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
@@ -221,8 +274,13 @@ def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     if n == 0:
         return QMatrix2.identity()
     sums = {letter: [0.0] * 4 for letter in "PQRS"}
-    for coeff, basis in _folds(lambda letter: (_FLAT_ONE, letter), _reduction_step(coin), n, l):
-        sums[basis] = [s + c for s, c in zip(sums[basis], coeff)]
+    for (cw, cx, cy, cz), basis in _folds(lambda letter: (_FLAT_ONE, letter),
+                                          _reduction_step(coin), n, l):
+        total = sums[basis]
+        total[0] += cw
+        total[1] += cx
+        total[2] += cy
+        total[3] += cz
     return PQRSDecomposition(*[Quaternion(*sums[letter]) for letter in "PQRS"]).reconstruct(coin)
 
 

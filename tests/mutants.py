@@ -66,6 +66,22 @@ MUTANTS = [
      "if not any(map(any, sites)):",
      "if not any(_weights(sites)):",
      ["tests/test_walk.py::test_tiny_amplitudes_are_not_zero"]),
+    ("pathsum.py",  # _row_step: the real part summed as w - (x + y + z)
+     "return (uw * ew - ux * ex - uy * ey - uz * ez,",
+     "return (uw * ew - (ux * ex + uy * ey + uz * ez),",
+     ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
+    ("pathsum.py",  # path_sum_bruteforce: a row total started at -0.0 keeps it with no words
+     "top, bottom = [0.0] * 8, [0.0] * 8",
+     "top, bottom = [-0.0] * 8, [0.0] * 8",
+     ["tests/test_cli.py::test_xi_oracles_are_bit_identical_to_word_by_word_folds[flip-0-brute]"]),
+    ("coin.py",  # _lmul: the real part of q * a summed as w - (x + y + z)
+     "return (qw * aw - qx * ax - qy * ay - qz * az,",
+     "return (qw * aw - (qx * ax + qy * ay + qz * az),",
+     ["tests/test_coin.py::test_flat_kernel_is_bit_identical_to_the_scalar_operators"]),
+    ("coin.py",  # _unitarity_residual: U U* measured twice, U* U never
+     "_max_dev(_matmul(adj, m), _FLAT_IDENTITY)",
+     "_max_dev(_matmul(m, adj), _FLAT_IDENTITY)",
+     ["tests/test_coin.py::test_flat_kernel_is_bit_identical_to_the_scalar_operators"]),
     ("pathsum.py",  # path_sums: splits read from site -n up, so l and n - l swap
      "for x in range(n, -n - 1, -2)",
      "for x in range(-n, n + 1, 2)",

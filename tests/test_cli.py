@@ -38,6 +38,9 @@ RANDOM_COIN = json.dumps({
     "c": [0.5422873808421916, 0.17439070464885706, -0.10980513358430821, -0.01839891915690729],
     "d": [-0.6196264878096792, -0.13694269930386266, -0.5070098815300513, 0.058028302290152906],
 })
+NEG_ZERO_HADAMARD = json.dumps({
+    name: [sign * SQRT_HALF, -0.0, -0.0, -0.0]
+    for name, sign in (("a", 1), ("b", 1), ("c", 1), ("d", -1))})
 RANDOM_INIT = json.dumps([
     [0.04653039307699787, 0.3198658725977231, -0.6251427380632999, 0.34246671274514673],
     [-0.0719062397881712, -0.15403497409885827, 0.013700375579884799, -0.5986224794630677],
@@ -496,10 +499,26 @@ def test_tight_verify_tol_fails_reports_instead_of_raising(capsys, suite, tol, c
      "bca6f15cfcc81a45812820b7b04a21cf99a464072bbdfdd2b48606cbbec84012"),
     ("hadamard", 9, "reduced",
      "3b90cef03ef3e275de25eabd82518b93c308b72a6138899aab9e86858fcfecf8"),
+    # every word of flip at l = 0 or 12 is zero, so only the signs of its
+    # zeros show, and a total of one row starts with no word at all
+    ("flip", 0, "brute",
+     "a330f5c3484145d3042d3c4f6449df7f6e82b88c21b19cbc92469e85c6c952dd"),
+    ("flip", 0, "reduced",
+     "a330f5c3484145d3042d3c4f6449df7f6e82b88c21b19cbc92469e85c6c952dd"),
+    ("flip", 12, "brute",
+     "a330f5c3484145d3042d3c4f6449df7f6e82b88c21b19cbc92469e85c6c952dd"),
+    ("flip", 12, "reduced",
+     "a330f5c3484145d3042d3c4f6449df7f6e82b88c21b19cbc92469e85c6c952dd"),
+    # hadamard with its zero components written -0.0
+    (NEG_ZERO_HADAMARD, 6, "brute",
+     "25b59550972a4d7ddce3ca8a77e16bbe668655b6788644414209f52f4affa1ed"),
+    (NEG_ZERO_HADAMARD, 6, "reduced",
+     "b3aa0eadb00e08ac19582dc97a5272bb8ed25b8fe75d8c5866cac7434cff8a0e"),
 ], ids=["example-ijk-6-brute", "example-ijk-6-reduced", "example-ijk-3-brute",
         "example-ijk-3-reduced", "random-coin-6-brute", "random-coin-6-reduced",
         "random-coin-3-brute", "random-coin-3-reduced", "hadamard-9-brute",
-        "hadamard-9-reduced"])
+        "hadamard-9-reduced", "flip-0-brute", "flip-0-reduced", "flip-12-brute",
+        "flip-12-reduced", "neg-zero-hadamard-6-brute", "neg-zero-hadamard-6-reduced"])
 def test_xi_oracles_are_bit_identical_to_word_by_word_folds(capsys, coin, l, mode, digest):
     # digests of the output of the oracles folding each word on its own
     code, out, _ = run_cli(capsys, "xi", "--coin", coin, "-n", "12", "-l", str(l),
