@@ -7,6 +7,14 @@ for one step split), ``verify`` (seeded verification suites), ``classify``
 Exit codes: 0 success, 1 verification failure, 2 config/parse error,
 3 non-unitary coin, 4 enumeration cap exceeded (``xi --mode brute|reduced``),
 141 stdout closed by its reader (128 + SIGPIPE; nothing is printed on stderr).
+
+Each subcommand loads only the modules it runs.  This module imports
+``quaternion``, ``coin`` and ``walk``, which ``dist`` needs and every
+other subcommand builds on; ``xi`` imports ``pathsum`` in its handler,
+``classify`` ``stationary``, and ``verify`` and ``eigen-check`` both
+``stationary`` and ``verify``.  Those three bring ``dataclasses``,
+``inspect`` and ``statistics`` with them, which at module level would
+more than double the package's import time in every ``dist`` process.
 """
 
 from __future__ import annotations
@@ -19,16 +27,7 @@ import os
 import sys
 
 from .coin import NotUnitaryError, _load_json, coin_from_spec
-from .pathsum import (
-    CapExceededError,
-    decompose_pqrs,
-    path_sum,
-    path_sum_bruteforce,
-    path_sum_reduced,
-)
 from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, parse_quaternion
-from .stationary import EigenCandidate, classify_measure, right_eigen_check
-from .verify import SUITES, _worst, run_suites
 from .walk import PeriodicState, distributions, measure_from_json, state_from_json
 
 EXIT_OK = 0
@@ -104,13 +103,26 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_xi(args) -> int:
+    from .pathsum import (
+        CapExceededError,
+        decompose_pqrs,
+        path_sum,
+        path_sum_bruteforce,
+        path_sum_reduced,
+    )
+
     coin = coin_from_spec(args.coin)
     if args.mode != "decompose":
         # a --tol on the command line is a new float, never the shared default
         if args.tol is not DEFAULT_TOL:
             raise ValueError("--tol applies only to --mode decompose")
         evaluate = path_sum_bruteforce if args.mode == "brute" else path_sum_reduced
-        print(json.dumps(evaluate(coin, args.n, args.l, args.m).to_json()))
+        try:
+            xi = evaluate(coin, args.n, args.l, args.m)
+        except CapExceededError as exc:  # a ValueError: main would exit 2
+            print(f"qqwalk: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        print(json.dumps(xi.to_json()))
         return EXIT_OK
     deco = decompose_pqrs(coin, path_sum(coin, args.n, args.l, args.m))
     print(json.dumps(deco.to_json()))
@@ -122,6 +134,8 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
+
     seed = args.seed
     if seed is None:
         text = os.environ.get("QQWALK_SEED", "0")
@@ -136,6 +150,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .stationary import classify_measure
+
     measure = measure_from_json(_load_json(args.measure))
     klass = classify_measure(measure, window=args.window, tol=args.tol)
     print(json.dumps(klass.to_json()))
@@ -143,6 +159,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_eigen_check(args) -> int:
+    from .stationary import EigenCandidate, right_eigen_check
+    from .verify import _worst
+
     coin = coin_from_spec(args.coin)
     state = state_from_json(_load_json(args.state))
     if not isinstance(state, PeriodicState):
@@ -185,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     xi.set_defaults(handler=_cmd_xi)
 
     verify = sub.add_parser("verify", parents=[tol], help="run seeded verification suites")
-    verify.add_argument("--suite", default="all", choices=("all", *SUITES))
+    verify.add_argument("--suite", default="all",
+                        help="a suite name, or all (default); an unknown name "
+                             "exits 2 with the list of suites")
     verify.add_argument("--seed", type=int,
                         help="suite seed (default: QQWALK_SEED, else 0)")
     verify.set_defaults(handler=_cmd_verify)
@@ -223,9 +244,6 @@ def main(argv=None) -> int:
     except NotUnitaryError as exc:
         print(f"qqwalk: non-unitary coin: {exc}", file=sys.stderr)
         return EXIT_NOT_UNITARY
-    except CapExceededError as exc:
-        print(f"qqwalk: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"qqwalk: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

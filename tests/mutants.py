@@ -4,9 +4,10 @@ Each row names a file under ``src/qqwalk``, an exact piece of its text, a
 replacement, and the tests that must fail once the replacement is made.
 For each row the script copies ``src/`` to a temporary directory, applies
 the edit there, and runs those tests with ``PYTHONPATH`` on the copy; the
-working tree is never edited.  First it runs every named test on an
-unedited copy, which must pass, and it checks that ``qqwalk`` is imported
-from the copy, not from an installed package.
+working tree is never edited.  Up to four rows run at a time, each on its
+own copy.  First it runs every named test on an unedited copy, which must
+pass, and it checks that ``qqwalk`` is imported from the copy, not from an
+installed package.
 
 A row whose old text does not occur exactly once fails the script, so a
 refactor that moves a mutated line must update its row.  A mutant
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +93,46 @@ MUTANTS = [
      "if residual > EXP_FIT_TOL or abs(slope) * (xs[-1] - xs[0]) <= EXP_FIT_TOL:",
      "if residual > EXP_FIT_TOL:",
      ["tests/test_cli.py::test_classify_near_flat_measure_is_other[noise-order-1]"]),
+    ("cli.py",  # verify imported at module level, so every dist process loads it
+     "from .walk import PeriodicState",
+     "from .verify import run_suites\nfrom .walk import PeriodicState",
+     ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[dist]"]),
+    ("__init__.py",  # the package imports a submodule eagerly again
+     '__version__ = "0.1.0"',
+     'from . import stationary\n\n__version__ = "0.1.0"',
+     ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[dist]"]),
+    ("cli.py",  # main: a nesting too deep for the JSON parser escapes as a traceback
+     "except (ValueError, KeyError, OSError, RecursionError) as exc:",
+     "except (ValueError, KeyError, OSError) as exc:",
+     ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
+    ("cli.py",  # dist: an Infinity in a CSV row
+     'f"{n},{x},{p!r}"',
+     'f"{n},{x},{p if p < 1.0 else math.inf!r}"',
+     ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
+    ("cli.py",  # dist: a NaN in a JSON row
+     'row = json.dumps({"n": n, "dist": {str(x): p for x, p in dist.items()}})',
+     'row = json.dumps({"n": n, "dist": {str(x): p for x, p in dist.items()}, "x": math.nan})',
+     ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
+    ("cli.py",  # xi brute/reduced: a NaN in the operator
+     "print(json.dumps(xi.to_json()))",
+     "print(json.dumps(xi.to_json() + [math.nan]))",
+     ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
+    ("cli.py",  # xi decompose: an Infinity in a coefficient
+     "print(json.dumps(deco.to_json()))",
+     'print(json.dumps({**deco.to_json(), "p": [math.inf] * 4}))',
+     ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
+    ("cli.py",  # verify: a NaN residual in each report
+     "    for report in reports:\n        print(json.dumps(report))",
+     '    for report in reports:\n        print(json.dumps({**report, "max_residual": math.nan}))',
+     ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
+    ("cli.py",  # classify: an Infinity in the class
+     "print(json.dumps(klass.to_json()))",
+     'print(json.dumps({**klass.to_json(), "c": math.inf}))',
+     ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
+    ("cli.py",  # dist: the whole series held in a list, not one step at a time
+     "series = distributions(coin_from_spec(coin), _parse_spinor(init), steps)",
+     "series = list(distributions(coin_from_spec(coin), _parse_spinor(init), steps))",
+     ["tests/test_cli.py::test_dist_holds_one_step_at_a_time[csv]"]),
 ]
 
 
@@ -126,6 +168,16 @@ def _pytest(src: Path, cwd: Path, node_ids: list[str]) -> tuple[int, str]:
     return run.returncode, run.stdout + run.stderr
 
 
+def _run_mutant(row) -> tuple[int, str]:
+    """Exit code and output of the row's tests on a copy of ``src/`` with its edit."""
+    file, old, new, node_ids = row
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(Path(tmp) / "mutant")
+        path = src / "qqwalk" / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        return _pytest(src, Path(tmp), node_ids)
+
+
 def main() -> int:
     started = time.perf_counter()
     for file, old, _, _ in MUTANTS:
@@ -142,13 +194,10 @@ def main() -> int:
             print(output)
             sys.exit("the mutants' tests do not pass on the unedited copy")
 
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        results = list(pool.map(_run_mutant, MUTANTS))
     survivors = 0
-    for index, (file, old, new, node_ids) in enumerate(MUTANTS):
-        with tempfile.TemporaryDirectory() as tmp:
-            src = _copy_src(Path(tmp) / "mutant")
-            path = src / "qqwalk" / file
-            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-            code, output = _pytest(src, Path(tmp), node_ids)
+    for index, ((file, _, new, _), (code, output)) in enumerate(zip(MUTANTS, results)):
         summary = output.strip().splitlines()[-1] if output.strip() else ""
         killed = code == 1 and not re.search(r"\b\d+ passed\b", summary)
         survivors += not killed

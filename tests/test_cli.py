@@ -214,6 +214,13 @@ def test_looser_verify_tol_never_fails_a_pass(capsys, suite):
     assert codes[-1] == 0
 
 
+def test_unknown_verify_suite_exits_2_with_the_suite_list(capsys):
+    # verify owns the suite names; the parser takes any name and passes it on
+    assert run_cli(capsys, "verify", "--suite", "none") == (
+        2, "", "qqwalk: invalid configuration: unknown suite 'none'; "
+               "available: all, eigen, pqrs, stationary, theorem1, unitary\n")
+
+
 def test_verify_pqrs_report_shape(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "pqrs", "--seed", "42")
     assert code == 0
@@ -276,10 +283,9 @@ def test_xi_decompose_has_no_cap_but_oracles_do(capsys):
     assert code == 0
     assert set(json.loads(out)) == {"p", "q", "r", "s"}
     for mode in ("brute", "reduced"):
-        code, _, err = run_cli(capsys, "xi", "--coin", "hadamard",
-                               "-n", "21", "-l", "10", "-m", "11", "--mode", mode)
-        assert code == 4
-        assert "cap" in err
+        result = run_cli(capsys, "xi", "--coin", "hadamard",
+                         "-n", "21", "-l", "10", "-m", "11", "--mode", mode)
+        assert result == (4, "", "qqwalk: n=21 exceeds the enumeration cap 20\n")
 
 
 def test_non_finite_input_exits_2(capsys):
@@ -708,6 +714,36 @@ def test_closed_stdout_exits_141_without_a_message():
         proc.kill()
     assert proc.returncode == 141
     assert err == b""
+
+
+#: The CLI in a child process that lists every module it loaded on stderr.
+CHILD_MODULES = [sys.executable, "-c", "import sys; from qqwalk.cli import main; "
+                                       "code = main(sys.argv[1:]); "
+                                       "print(*sys.modules, file=sys.stderr); sys.exit(code)"]
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["dist", "--coin", "hadamard", "--init", "1,0", "--steps", "3"], [],
+     ["qqwalk.pathsum", "qqwalk.stationary", "qqwalk.verify", "dataclasses", "statistics"]),
+    (["xi", "--coin", "hadamard", "-n", "4", "-l", "2", "-m", "2", "--mode", "brute"],
+     ["qqwalk.pathsum"], ["qqwalk.stationary", "qqwalk.verify", "statistics"]),
+], ids=["dist", "xi-brute"])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, absent):
+    proc = subprocess.run([*CHILD_MODULES, *argv], capture_output=True, text=True,
+                          timeout=60, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    modules = set(proc.stderr.split())
+    assert set(loaded) <= modules
+    assert not modules & set(absent)
+
+
+def test_bare_import_loads_no_submodule_until_one_is_named():
+    code = ("import sys, qqwalk; "
+            "before = sorted(m for m in sys.modules if m.startswith('qqwalk')); "
+            "print(before, qqwalk.pathsum.__name__, qqwalk.path_sum.__module__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=CHILD_ENV)
+    assert proc.stdout == "['qqwalk'] qqwalk.pathsum qqwalk.pathsum\n", proc.stderr[-2000:]
 
 
 class BlockProbe(io.TextIOBase):
