@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 config/parse error,
 Each subcommand loads only the modules it runs.  This module imports
 ``quaternion``, ``coin`` and ``walk``, which ``dist`` needs and every
 other subcommand builds on; ``xi`` imports ``pathsum`` in its handler,
-``classify`` ``stationary``, and ``verify`` and ``eigen-check`` both
+``classify`` and ``eigen-check`` ``stationary``, and ``verify`` both
 ``stationary`` and ``verify``.  Those three bring ``dataclasses``,
 ``inspect`` and ``statistics`` with them, which at module level would
 more than double the package's import time in every ``dist`` process.
@@ -159,8 +159,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_eigen_check(args) -> int:
-    from .stationary import EigenCandidate, right_eigen_check
-    from .verify import _worst
+    from .stationary import EigenCandidate, _worst, right_eigen_check
 
     coin = coin_from_spec(args.coin)
     state = state_from_json(_load_json(args.state))

@@ -45,10 +45,8 @@ def _q(value) -> Quaternion:
     raise TypeError(f"expected a quaternion entry, got {type(value).__name__}")
 
 
-# Flat values are tuple displays, sums of tuples or lists, never tuple() or
-# * of an iterator: CPython sizes such a tuple by resizing, outside its
-# per-size free list, and freeing it grows that list, by up to 2000 tuples
-# (0.3 MB of 16-tuples) per process.
+# Flat values are built at their final size, by the rule in the quaternion
+# module docstring: 2000 dead 16-tuples would hold 0.3 MB.
 def _flat(matrix: "QMatrix2") -> tuple:
     return (matrix.e11.components() + matrix.e12.components()
             + matrix.e21.components() + matrix.e22.components())

@@ -227,7 +227,7 @@ def path_sums(coin: Coin, n: int) -> list[QMatrix2]:
     walks = [FiniteSupportState.delta(spinor) for spinor in ((ONE, ZERO), (ZERO, ONE))]
     for _ in range(n):
         walks = [state.evolve(coin) for state in walks]
-    columns = ([state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks)
+    columns = [[state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks]
     return [QMatrix2(e11, e12, e21, e22) for (e11, e21), (e12, e22) in zip(*columns)]
 
 

@@ -52,8 +52,20 @@ class EigenCandidate:
     def __post_init__(self):
         # unitarity of the evolution forces |lambda| = 1
         if not self.eigenvalue.is_unit():
-            raise ValueError(f"eigenvalue must be unimodular, got |lambda| = "
-                             f"{self.eigenvalue.norm()!r}")
+            # named as given: the modulus of a tiny eigenvalue underflows to 0.0
+            raise ValueError(f"eigenvalue must be unimodular, got {self.eigenvalue}")
+
+
+def _report(check: str, passed: bool, residual: float, **params) -> dict:
+    """One line of a ``verify`` or ``eigen-check`` report."""
+    return {"check": check, "pass": bool(passed),
+            "max_residual": float(residual), "params": params}
+
+
+def _worst(check: str, residuals, tol: float, **params) -> dict:
+    """Report the largest of ``residuals`` (NaN if any is NaN), passing iff it is <= tol."""
+    worst = max_or_nan(residuals)
+    return _report(check, worst <= tol, worst, **params, tol=tol)
 
 
 def right_eigen_check(coin: Coin, candidate: EigenCandidate) -> float:

@@ -19,6 +19,8 @@ from .pathsum import decompose_pqrs, path_sum_bruteforce, path_sum_reduced
 from .quaternion import DEFAULT_TOL, ONE, ZERO, Quaternion, max_or_nan
 from .stationary import (
     PolarInitialState,
+    _report,
+    _worst,
     build_eigenstate_flip,
     build_eigenstate_flipneg,
     check_two_step_uniformity,
@@ -31,20 +33,9 @@ from .stationary import (
 from .walk import PeriodicState, distribution, distributions, random_unit_pair
 
 
-def _report(check: str, passed: bool, residual: float, **params) -> dict:
-    return {"check": check, "pass": bool(passed),
-            "max_residual": float(residual), "params": params}
-
-
-def _worst(check: str, residuals, tol: float, **params) -> dict:
-    """Report the largest of ``residuals`` (NaN if any is NaN), passing iff it is <= tol."""
-    worst = max_or_nan(residuals)
-    return _report(check, worst <= tol, worst, **params, tol=tol)
-
-
 def _random_direction(rng: Random) -> Quaternion:
     while True:
-        q = Quaternion(*(rng.gauss(0.0, 1.0) for _ in range(4)))
+        q = Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)])
         if q.norm() > 1e-6:
             return q / q.norm()
 
@@ -120,8 +111,8 @@ def _random_b0_state(rng: Random) -> PeriodicState:
     kind = rng.randrange(3)
     if kind == 0:
         # fully random amplitudes
-        pairs = [(Quaternion(*(rng.gauss(0.0, 1.0) for _ in range(4))),
-                  Quaternion(*(rng.gauss(0.0, 1.0) for _ in range(4))))
+        pairs = [(Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)]),
+                  Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)]))
                  for _ in range(period)]
         return PeriodicState(pairs)
     if kind == 1:

@@ -64,7 +64,7 @@ def _pair(site) -> AmplitudePair:
 
 def _pairs(state) -> tuple[AmplitudePair, ...]:
     """The site amplitudes as pairs, built on each access."""
-    return tuple(map(_pair, state._sites))
+    return tuple(list(map(_pair, state._sites)))
 
 
 def _step(coin: Coin, lefts, rights) -> list:
@@ -228,7 +228,7 @@ class Measure:
     __slots__ = ("values", "offset", "periodic")
 
     def __init__(self, values, offset: int = 0, periodic: bool = False):
-        vals = tuple(map(float, values))
+        vals = tuple(list(map(float, values)))
         if not (vals and min(vals) >= 0.0 and max(vals) < math.inf and sum(vals) > 0.0):
             raise ValueError("measure values must be finite, nonnegative and not all zero")
         self.values = vals

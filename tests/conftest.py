@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 from qqwalk import Coin, Quaternion
 from qqwalk.coin import _flat, _split
@@ -50,3 +51,23 @@ def max_dist_dev(one: dict, other: dict) -> float:
 #: for one law at a time.
 TRACED_STEPS = 200
 HELD_BLOCKS = 10_000
+
+
+def blocks_kept(call, calls: int = 500) -> int:
+    """Blocks that ``calls`` calls of ``call`` leave allocated, after one warm-up call.
+
+    A tuple built from an iterator is sized by resizing, so it is not
+    taken from CPython's free list of its final size, yet freeing it joins
+    that list: each call keeps one more block until the list holds 2000.
+    The free lists of sizes 1 to 19 are emptied first, and kept empty by
+    holding their tuples, so that lists filled by earlier code cannot hide
+    the growth.
+    """
+    call()
+    held = [tuple([size] * size) for size in range(1, 20) for _ in range(2000)]
+    before = sys.getallocatedblocks()
+    for _ in range(calls):
+        call()
+    kept = sys.getallocatedblocks() - before
+    del held
+    return kept

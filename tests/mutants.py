@@ -40,6 +40,9 @@ PLUGIN = """from hypothesis import Phase, settings
 settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate))
 """
 
+#: The source check of the rule that every tuple is built at its final size.
+TUPLE_RULE = "tests/test_package.py::test_no_tuple_is_built_from_an_iterator"
+
 # (file under src/qqwalk, exact old text, new text, test node ids that must fail)
 MUTANTS = [
     ("walk.py",  # _step: the coin row's second product joins the first one's sum
@@ -133,6 +136,37 @@ MUTANTS = [
      "series = distributions(coin_from_spec(coin), _parse_spinor(init), steps)",
      "series = list(distributions(coin_from_spec(coin), _parse_spinor(init), steps))",
      ["tests/test_cli.py::test_dist_holds_one_step_at_a_time[csv]"]),
+    ("cli.py",  # eigen-check: lambda normalized by a modulus that underflows to 0.0
+     "lam = parse_quaternion(args.eigenvalue)\n",
+     "lam = parse_quaternion(args.eigenvalue)\n    lam = lam / lam.norm()\n",
+     ["tests/test_cli.py::test_eigen_check_tiny_eigenvalue_exits_2_naming_it[1e-200]"]),
+    # each tuple below built from an iterator again: it fills a tuple free list
+    ("walk.py",  # Measure
+     "vals = tuple(list(map(float, values)))",
+     "vals = tuple(map(float, values))",
+     ["tests/test_walk.py::test_measure_keeps_no_blocks_across_calls", TUPLE_RULE]),
+    ("walk.py",  # _pairs
+     "return tuple(list(map(_pair, state._sites)))",
+     "return tuple(map(_pair, state._sites))",
+     ["tests/test_walk.py::test_pairs_keep_no_blocks_across_calls", TUPLE_RULE]),
+    ("verify.py",  # _random_direction
+     "q = Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)])",
+     "q = Quaternion(*(rng.gauss(0.0, 1.0) for _ in range(4)))",
+     ["tests/test_verify.py::test_random_direction_keeps_no_blocks_across_calls", TUPLE_RULE]),
+    ("verify.py",  # _random_b0_state
+     "pairs = [(Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)]),\n"
+     "                  Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)]))",
+     "pairs = [(Quaternion(*(rng.gauss(0.0, 1.0) for _ in range(4))),\n"
+     "                  Quaternion(*(rng.gauss(0.0, 1.0) for _ in range(4))))",
+     ["tests/test_verify.py::test_random_b0_state_keeps_no_blocks_across_calls", TUPLE_RULE]),
+    ("quaternion.py",  # Quaternion.from_json
+     'return cls(*[_json_cast(float, v, "quaternion component") for v in data])',
+     'return cls(*(_json_cast(float, v, "quaternion component") for v in data))',
+     ["tests/test_quaternion.py::test_from_json_keeps_no_blocks_across_calls", TUPLE_RULE]),
+    ("pathsum.py",  # path_sums: the columns zipped from a generator
+     "columns = [[state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks]",
+     "columns = ([state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks)",
+     ["tests/test_pathsum.py::test_path_sums_keep_no_blocks_across_calls", TUPLE_RULE]),
 ]
 
 

@@ -314,6 +314,17 @@ def test_eigen_check_takes_tiny_amplitudes(capsys, tiny):
     assert json.loads(out)["max_residual"] == 0.0
 
 
+@pytest.mark.parametrize("tiny", ["1e-200", "5e-324"])
+def test_eigen_check_tiny_eigenvalue_exits_2_naming_it(capsys, tiny):
+    # |lambda| underflows to 0.0, so the message names lambda as parsed
+    state = '{"kind":"periodic","amplitudes":[[[1,0,0,0],[1,0,0,0]]]}'
+    code, out, err = run_cli(capsys, "eigen-check", "--coin", "flip",
+                             "--eigenvalue", tiny, "--state", state)
+    assert (code, out) == (2, "")
+    assert err == ("qqwalk: invalid configuration: eigenvalue must be unimodular, "
+                   f"got {tiny}+0i+0j+0k\n")
+
+
 def test_bad_seed_variable_exits_2_for_verify_only(capsys, monkeypatch):
     monkeypatch.setenv("QQWALK_SEED", "abc")
     code, out, err = run_cli(capsys, "verify", "--suite", "unitary")
@@ -727,7 +738,10 @@ CHILD_MODULES = [sys.executable, "-c", "import sys; from qqwalk.cli import main;
      ["qqwalk.pathsum", "qqwalk.stationary", "qqwalk.verify", "dataclasses", "statistics"]),
     (["xi", "--coin", "hadamard", "-n", "4", "-l", "2", "-m", "2", "--mode", "brute"],
      ["qqwalk.pathsum"], ["qqwalk.stationary", "qqwalk.verify", "statistics"]),
-], ids=["dist", "xi-brute"])
+    (["eigen-check", "--coin", "flip", "--eigenvalue", "1",
+      "--state", '{"kind":"periodic","amplitudes":[[[1,0,0,0],[1,0,0,0]]]}'],
+     ["qqwalk.stationary"], ["qqwalk.verify"]),
+], ids=["dist", "xi-brute", "eigen-check"])
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, absent):
     proc = subprocess.run([*CHILD_MODULES, *argv], capture_output=True, text=True,
                           timeout=60, env=CHILD_ENV)

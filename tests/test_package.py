@@ -1,9 +1,11 @@
-"""The package namespace: every export resolves on first use, to its submodule's object."""
+"""The package: exports resolve on first use, and its source builds tuples at their final size."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +46,35 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         qqwalk.no_such_name
     assert not hasattr(qqwalk, "no_such_name")
+
+
+ITERATOR_CALLS = {"map", "filter", "zip", "reversed"}
+
+
+def _iterator(node, generators) -> bool:
+    """A generator expression, an ``ITERATOR_CALLS`` call, or a name bound to either."""
+    if isinstance(node, ast.Name):
+        return node.id in generators
+    return isinstance(node, ast.GeneratorExp) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ITERATOR_CALLS)
+
+
+def test_no_tuple_is_built_from_an_iterator():
+    # the rule of the quaternion module docstring: such a tuple is sized by
+    # resizing and fills CPython's tuple free list of its final size
+    found = []
+    for path in sorted(Path(qqwalk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        generators = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                      and _iterator(node.value, set())
+                      for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if (isinstance(node.func, ast.Name) and node.func.id == "tuple" and node.args
+                    and _iterator(node.args[0], generators)):
+                found.append(f"{path.name}:{node.lineno} tuple() of an iterator")
+            found += [f"{path.name}:{node.lineno} * of an iterator" for arg in node.args
+                      if isinstance(arg, ast.Starred) and _iterator(arg.value, generators)]
+    assert not found, found

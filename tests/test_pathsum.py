@@ -7,7 +7,6 @@ import hashlib
 import itertools
 import json
 import math
-import sys
 from random import Random
 
 import pytest
@@ -35,7 +34,7 @@ from qqwalk import (
 from qqwalk import pathsum
 from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES
 
-from conftest import SQRT_HALF, assert_mclose, assert_qclose, q, unchecked_coin
+from conftest import SQRT_HALF, assert_mclose, assert_qclose, blocks_kept, q, unchecked_coin
 
 
 def test_word_construction():
@@ -247,17 +246,12 @@ def test_reduced_folds_each_shared_prefix_once(monkeypatch):
 
 
 def test_oracles_keep_no_blocks_across_calls():
-    # a tuple built from an iterator is sized by resizing, outside CPython's
-    # tuple free list, and freeing it grows that list: 1000 blocks here when
-    # _flat read an iterator, 500 when the reduced totals did; the oracles
-    # read what the coin stores, so the next test guards _flat
+    # 1000 blocks here when _flat read an iterator, 500 when the reduced
+    # totals did; the oracles read what the coin stores, so the next test
+    # guards _flat
     coin = preset_coin("hadamard")
     for oracle in (path_sum_bruteforce, path_sum_reduced):
-        oracle(coin, 6, 3, 3)
-        before = sys.getallocatedblocks()
-        for _ in range(500):
-            oracle(coin, 6, 3, 3)
-        assert sys.getallocatedblocks() - before < 100
+        assert blocks_kept(lambda: oracle(coin, 6, 3, 3)) < 100
 
 
 def test_decompose_keeps_no_blocks_across_calls():
@@ -265,11 +259,13 @@ def test_decompose_keeps_no_blocks_across_calls():
     # _flat built its tuple from an iterator
     coin = preset_coin("hadamard")
     matrix = path_sum(coin, 6, 3, 3)
-    decompose_pqrs(coin, matrix)
-    before = sys.getallocatedblocks()
-    for _ in range(500):
-        decompose_pqrs(coin, matrix)
-    assert sys.getallocatedblocks() - before < 100
+    assert blocks_kept(lambda: decompose_pqrs(coin, matrix)) < 100
+
+
+def test_path_sums_keep_no_blocks_across_calls():
+    # the two columns are zipped from a list: 500 blocks here from a generator
+    coin = preset_coin("hadamard")
+    assert blocks_kept(lambda: path_sums(coin, 2)) < 100
 
 
 def test_row_sum_is_coin_power():

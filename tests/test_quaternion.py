@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qqwalk import I, J, K, ONE, ZERO, NotUnitError, Quaternion, parse_quaternion
 
-from conftest import assert_qclose, q
+from conftest import assert_qclose, blocks_kept, q
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -164,6 +164,11 @@ def test_json_round_trip(v):
 def test_json_rejects_wrong_shape():
     with pytest.raises(ValueError):
         Quaternion.from_json([1.0, 2.0])
+
+
+def test_from_json_keeps_no_blocks_across_calls():
+    # the components reach the constructor through a list, not an iterator
+    assert blocks_kept(lambda: Quaternion.from_json([1, 2, 3, 4])) < 100
 
 
 def test_max_dev_propagates_nan():

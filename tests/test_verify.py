@@ -1,0 +1,29 @@
+"""The verify suites keep no memory from one run to the next."""
+
+from __future__ import annotations
+
+from random import Random
+
+from qqwalk.verify import _random_b0_state, _random_direction, run_suites
+
+from conftest import blocks_kept
+
+
+def test_random_direction_keeps_no_blocks_across_calls():
+    rng = Random(0)
+    assert blocks_kept(lambda: _random_direction(rng)) < 100
+
+
+def test_random_b0_state_keeps_no_blocks_across_calls():
+    rng = Random(0)
+    assert blocks_kept(lambda: _random_b0_state(rng)) < 100
+
+
+def test_a_repeat_verify_round_keeps_few_blocks():
+    # a tuple built from an iterator anywhere on the verify path keeps a
+    # block per call: over 13000 blocks here when five sites did
+    def verify_round():
+        for seed in range(4):
+            run_suites("all", seed=seed)
+
+    assert blocks_kept(verify_round, calls=1) < 1000

@@ -35,6 +35,7 @@ from conftest import (
     TRACED_STEPS,
     assert_dist_close,
     assert_qclose,
+    blocks_kept,
     max_dist_dev,
     q,
 )
@@ -253,6 +254,17 @@ def test_distributions_hold_one_law_at_a_time():
     for _ in distributions(preset_coin("hadamard"), up_spinor(), TRACED_STEPS):
         peak = max(peak, sys.getallocatedblocks())
     assert peak - start < HELD_BLOCKS
+
+
+def test_measure_keeps_no_blocks_across_calls():
+    # every walk step builds a Measure: 500 blocks here when its values
+    # tuple was built from an iterator
+    assert blocks_kept(lambda: Measure([0.25, 0.5, 0.25])) < 100
+
+
+def test_pairs_keep_no_blocks_across_calls():
+    state = PeriodicState([(q(1), q(0, 1)), (q(0, 0, 1), q(1)), (q(1), q(1))])
+    assert blocks_kept(lambda: state.pairs) < 100
 
 
 def test_distribution_sums_to_one():
