@@ -15,7 +15,11 @@ Quaternion)`` pairs once, ``evolve`` trusts the step's output, and only
 reads the coin's stored flat matrix ``coin.flat`` and spells the Hamilton
 products out in the operation order of ``Quaternion.__mul__`` then
 ``__add__``, so every component has the bits of the scalar reference
-``coin.matrix.apply(pair)``.
+``coin.matrix.apply(pair)``.  ``measure`` trusts the step's site weights
+as ``evolve`` trusts its pairs: it builds its ``Measure`` through
+``Measure._of_weights``, which checks only what a weight can get wrong,
+while a caller's or a JSON file's values keep every check of
+``Measure.__init__``.
 
 A walk started from a point is nonzero only where ``x = t (mod 2)``.  The
 finite window pads with ``None``: two ``None`` neighbours give ``None``, one
@@ -39,6 +43,7 @@ NORM_TOL = 1e-9
 AmplitudePair = tuple[Quaternion, Quaternion]
 
 _ZERO_HALF = (0.0, 0.0, 0.0, 0.0)
+_MEASURE_VALUES = "measure values must be finite, nonnegative and not all zero"
 _ZERO_PAIR: AmplitudePair = (Quaternion(), Quaternion())
 
 
@@ -150,7 +155,7 @@ class FiniteSupportState:
         return state
 
     def measure(self) -> "Measure":
-        return Measure(_weights(self._sites), offset=self.offset)
+        return Measure._of_weights(_weights(self._sites), self.offset, False)
 
     def norm_sq(self) -> float:
         return sum(_weights(self._sites))
@@ -193,7 +198,7 @@ class PeriodicState:
         return state
 
     def measure(self) -> "Measure":
-        return Measure(_weights(self._sites), periodic=True)
+        return Measure._of_weights(_weights(self._sites), 0, True)
 
     def to_json(self) -> dict:
         return _layout_json(True, 0, "amplitudes",
@@ -222,7 +227,9 @@ class Measure:
     The values must be finite, nonnegative and not all zero, and the
     constructor checks that once, with builtin passes: a NaN anywhere
     makes the sum NaN, and ``min``/``max`` catch a negative or infinite
-    value wherever it sits.
+    value wherever it sits.  A walk state measures its own site weights
+    through ``_of_weights``, which makes the same decision with fewer
+    checks.
     """
 
     __slots__ = ("values", "offset", "periodic")
@@ -230,10 +237,33 @@ class Measure:
     def __init__(self, values, offset: int = 0, periodic: bool = False):
         vals = tuple(list(map(float, values)))
         if not (vals and min(vals) >= 0.0 and max(vals) < math.inf and sum(vals) > 0.0):
-            raise ValueError("measure values must be finite, nonnegative and not all zero")
+            raise ValueError(_MEASURE_VALUES)
         self.values = vals
         self.offset = int(offset)
         self.periodic = bool(periodic)
+
+    @classmethod
+    def _of_weights(cls, weights: list[float], offset: int, periodic: bool) -> "Measure":
+        """The measure of a walk state's site weights, as ``__init__`` decides it.
+
+        Each weight is a sum of float squares, so it is +0.0 or more, +inf
+        or NaN, and never negative.  With ``total = sum(weights)``:
+
+        - a NaN makes ``total`` NaN, which fails ``total > 0.0``;
+        - an inf makes both ``total`` and ``max(weights)`` inf;
+        - finite weights whose sum overflows give an inf ``total`` but a
+          finite ``max``, and pass, as they do in ``__init__``;
+        - all-zero weights sum to 0.0.
+
+        No case depends on rounding, so the decision is the same whether or
+        not ``sum`` is compensated (Python 3.12 on) and equals ``__init__``'s.
+        """
+        total = sum(weights)
+        if not (total > 0.0 and (total < math.inf or max(weights) < math.inf)):
+            raise ValueError(_MEASURE_VALUES)
+        mu = object.__new__(cls)  # the step's weights need no float pass
+        mu.values, mu.offset, mu.periodic = tuple(weights), offset, periodic
+        return mu
 
     @classmethod
     def from_sites(cls, weights: dict[int, float]) -> "Measure":
@@ -297,14 +327,18 @@ def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[dic
     The arguments are checked on the call; the laws then come one step at a
     time, holding only the current state.  Each maps site -> probability;
     exactly-zero sites are omitted, so the support reflects the parity of
-    the step count.
+    the step count.  Each law reads every second site of its measure,
+    starting at the window's first site.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_normalized(spinor)
     states = accumulate(range(n_max), lambda state, _: state.evolve(coin),
                         initial=FiniteSupportState.delta(spinor))
-    return ({x: p for x, p in zip(mu.sites(), mu.values) if p != 0.0}
+    # The walk is exactly 0.0 off the parity of the window's first site (the
+    # None sites), and a law omits exact zeros, so reading the live parity
+    # alone leaves every law, its keys and their order as they are.
+    return ({x: p for x, p in zip(mu.sites()[::2], mu.values[::2]) if p != 0.0}
             for mu in map(FiniteSupportState.measure, states))
 
 

@@ -27,7 +27,8 @@ from qqwalk import (
     random_unitary_coin,
     state_from_json,
 )
-from qqwalk.walk import _step
+from qqwalk.coin import PRESET_NAMES
+from qqwalk.walk import _step, _weights
 
 from conftest import (
     SQRT_HALF,
@@ -379,6 +380,79 @@ def test_measure_predicate_matches_the_old_checks(values):
     else:
         accepted = True
     assert accepted == _old_measure_checks_pass(values)
+
+
+def _outcome(build):
+    """``("ok", value bits, offset, periodic)`` of a built measure, or ``("raises", message)``."""
+    try:
+        mu = build()
+    except ValueError as exc:
+        return ("raises", str(exc))
+    return ("ok", [v.hex() for v in mu.values], mu.offset, mu.periodic)
+
+
+_site_component = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-308,
+                     1e-200, -1e-200, 1e154, -1e154, 1e200]))
+_weight_sites = st.lists(st.one_of(st.none(), st.tuples(*[_site_component] * 8)),
+                         min_size=1, max_size=6)
+
+
+@given(sites=_weight_sites, offset=st.integers(-3, 3), periodic=st.booleans())
+def test_weight_builder_decides_as_the_constructor(sites, offset, periodic):
+    weights = _weights(sites)
+    assert (_outcome(lambda: Measure._of_weights(weights, offset, periodic))
+            == _outcome(lambda: Measure(weights, offset, periodic)))
+
+
+def _states(*amplitudes):
+    """A finite and a periodic state, one site per amplitude, in its left w component."""
+    pairs = [(q(a), q()) for a in amplitudes]
+    return FiniteSupportState(-1, pairs), PeriodicState(pairs)
+
+
+def _constructor_measure(state) -> Measure:
+    """What ``state.measure()`` built before it trusted its weights."""
+    if isinstance(state, PeriodicState):
+        return Measure(_weights(state._sites), periodic=True)
+    return Measure(_weights(state._sites), offset=state.offset)
+
+
+@pytest.mark.parametrize("amplitudes", [
+    (1e200,),  # its weight is inf
+    (0.5, 1e200),
+    (1e-200, -1e-200),  # every weight underflows to 0.0
+    (math.nan,),
+    (1.0, math.nan),  # max() skips a NaN that is not first
+], ids=["inf", "inf-second", "underflow", "nan", "nan-second"])
+def test_state_measure_rejects_weights_the_constructor_rejects(amplitudes):
+    for state in _states(*amplitudes):
+        with pytest.raises(ValueError, match="finite, nonnegative and not all zero"):
+            state.measure()
+        assert _outcome(state.measure) == _outcome(lambda: _constructor_measure(state))
+
+
+def test_state_measure_takes_weights_whose_sum_overflows():
+    # each weight is about 1e308, and their sum is past the float max
+    for state in _states(1e154, 1.3e154):
+        assert sum(_weights(state._sites)) == math.inf
+        assert _outcome(state.measure) == _outcome(lambda: _constructor_measure(state))
+        assert state.measure().values == (1e154 * 1e154, 1.3e154 * 1.3e154)
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "random-0", "random-1", "random-2"])
+def test_point_started_walks_are_zero_off_the_live_parity(name):
+    rng = Random(name)
+    coin = random_unitary_coin(rng) if name.startswith("random") else preset_coin(name)
+    spinor = random_unit_pair(rng)
+    state = FiniteSupportState.delta(spinor)
+    for t, law in enumerate(distributions(coin, spinor, 60)):
+        values = state.measure().values
+        assert state.offset == -t and len(values) == 2 * t + 1
+        assert all(v.hex() == "0x0.0p+0" for v in values[1::2]), t
+        assert list(law.items()) == [(x, p) for x, p in zip(state.sites(), values) if p != 0.0]
+        state = state.evolve(coin)
 
 
 def test_measure_comparison_across_offsets():
