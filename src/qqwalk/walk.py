@@ -11,7 +11,7 @@ One step sends ``psiL'(x) = a psiL(x+1) + b psiR(x+1)`` and
 the left.  Each site is stored as one flat tuple ``(Lw, Lx, Ly, Lz, Rw,
 Rx, Ry, Rz)``.  The public constructors check their ``(Quaternion,
 Quaternion)`` pairs once, ``evolve`` trusts the step's output, and only
-``amplitude``, ``pairs`` and ``to_json`` build quaternions.  ``_step``
+``amplitude``, ``pairs`` and ``to_json`` build quaternions.  ``_halves``
 reads the coin's stored flat matrix ``coin.flat`` and spells the Hamilton
 products out in the operation order of ``Quaternion.__mul__`` then
 ``__add__``, so every component has the bits of the scalar reference
@@ -21,11 +21,11 @@ as ``evolve`` trusts its pairs: it builds its ``Measure`` through
 while a caller's or a JSON file's values keep every check of
 ``Measure.__init__``.
 
-A walk started from a point is nonzero only where ``x = t (mod 2)``.  The
-finite window pads with ``None``: two ``None`` neighbours give ``None``, one
-gives exact zeros with no arithmetic, and ``measure`` reads ``None`` as
-0.0.  This is exact because ``Coin`` admits only finite entries, for which
-``a*0`` is a zero.  A zero pair that a caller passes in is computed with.
+A step reads only sites ``x - 1`` and ``x + 1``, so a walk started from a
+point is zero where ``x != t (mod 2)``.  A finite state stores its sites at
+``offset + stride * j``: stride 2 for one site and every walk from it, 1 for
+a caller's window of two or more.  The sites between read as zeros, a step's
+ends add the +0.0 ``_ZERO_HALF``, and a caller's zero pair is computed with.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from itertools import accumulate, islice
+from operator import add
 
 from .coin import Coin
 from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, max_or_nan
@@ -64,40 +65,30 @@ def _flatten(pairs) -> list:
 
 
 def _pair(site) -> AmplitudePair:
-    return _ZERO_PAIR if site is None else (Quaternion(*site[:4]), Quaternion(*site[4:]))
+    return (Quaternion(*site[:4]), Quaternion(*site[4:]))
 
 
-def _pairs(state) -> tuple[AmplitudePair, ...]:
-    """The site amplitudes as pairs, built on each access."""
-    return tuple(list(map(_pair, state._sites)))
-
-
-def _step(coin: Coin, lefts, rights) -> list:
-    """New site j: ``a psiL + b psiR`` of ``rights[j]``, then ``c psiL + d psiR`` of ``lefts[j]``."""
+def _halves(coin: Coin, sites) -> tuple[list, list]:
+    """``(ups, downs)``: ``a psiL + b psiR`` and ``c psiL + d psiR`` of each site."""
     aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = coin.flat
-    out = []
-    for s, t in zip(lefts, rights):
-        up = down = _ZERO_HALF
-        if t is not None:
-            lw, lx, ly, lz, rw, rx, ry, rz = t
-            up = ((aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),
-                  (aw * lx + ax * lw + ay * lz - az * ly) + (bw * rx + bx * rw + by * rz - bz * ry),
-                  (aw * ly - ax * lz + ay * lw + az * lx) + (bw * ry - bx * rz + by * rw + bz * rx),
-                  (aw * lz + ax * ly - ay * lx + az * lw) + (bw * rz + bx * ry - by * rx + bz * rw))
-        if s is not None:
-            lw, lx, ly, lz, rw, rx, ry, rz = s
-            down = ((cw * lw - cx * lx - cy * ly - cz * lz) + (dw * rw - dx * rx - dy * ry - dz * rz),
-                    (cw * lx + cx * lw + cy * lz - cz * ly) + (dw * rx + dx * rw + dy * rz - dz * ry),
-                    (cw * ly - cx * lz + cy * lw + cz * lx) + (dw * ry - dx * rz + dy * rw + dz * rx),
-                    (cw * lz + cx * ly - cy * lx + cz * lw) + (dw * rz + dx * ry - dy * rx + dz * rw))
-        out.append(None if s is None and t is None else up + down)
-    return out
+    ups, downs = [], []
+    # a loop, not comprehensions: on Python 3.10 and 3.11 a comprehension is a
+    # nested function, which would read the 16 coin floats from closure cells
+    for lw, lx, ly, lz, rw, rx, ry, rz in sites:
+        ups.append(((aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),
+                    (aw * lx + ax * lw + ay * lz - az * ly) + (bw * rx + bx * rw + by * rz - bz * ry),
+                    (aw * ly - ax * lz + ay * lw + az * lx) + (bw * ry - bx * rz + by * rw + bz * rx),
+                    (aw * lz + ax * ly - ay * lx + az * lw) + (bw * rz + bx * ry - by * rx + bz * rw)))
+        downs.append(((cw * lw - cx * lx - cy * ly - cz * lz) + (dw * rw - dx * rx - dy * ry - dz * rz),
+                      (cw * lx + cx * lw + cy * lz - cz * ly) + (dw * rx + dx * rw + dy * rz - dz * ry),
+                      (cw * ly - cx * lz + cy * lw + cz * lx) + (dw * ry - dx * rz + dy * rw + dz * rx),
+                      (cw * lz + cx * ly - cy * lx + cz * lw) + (dw * rz + dx * ry - dy * rx + dz * rw)))
+    return ups, downs
 
 
 def _weights(sites) -> list[float]:
-    """Site weights ``|psiL|^2 + |psiR|^2`` in the ``norm_sq`` order; None is 0.0."""
-    return [0.0 if s is None else
-            (s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3])
+    """Site weights ``|psiL|^2 + |psiR|^2`` in the ``norm_sq`` order."""
+    return [(s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3])
             + (s[4] * s[4] + s[5] * s[5] + s[6] * s[6] + s[7] * s[7])
             for s in sites]
 
@@ -125,37 +116,42 @@ def _read_layout(data, what: str, key: str) -> tuple[bool, int, list]:
 
 
 class FiniteSupportState:
-    """Amplitudes on a dense window ``[offset, offset + len)``; zero outside."""
+    """Amplitudes at ``offset + stride * j`` of a finite window; zero elsewhere."""
 
-    __slots__ = ("offset", "_sites")
+    __slots__ = ("offset", "stride", "_sites")
 
     def __init__(self, offset: int, pairs):
         self.offset = int(offset)
         self._sites = _flatten(pairs)
+        self.stride = 2 if len(self._sites) == 1 else 1
 
     @classmethod
     def delta(cls, spinor: AmplitudePair) -> "FiniteSupportState":
         """State concentrated on the origin."""
         return cls(0, [spinor])
 
-    pairs = property(_pairs)
+    pairs = property(lambda self: tuple([self.amplitude(x) for x in self.sites()]))
 
     def sites(self) -> range:
-        return range(self.offset, self.offset + len(self._sites))
+        return range(self.offset, self.offset + self.stride * (len(self._sites) - 1) + 1)
 
     def amplitude(self, x: int) -> AmplitudePair:
-        idx = x - self.offset
-        return _pair(self._sites[idx]) if 0 <= idx < len(self._sites) else _ZERO_PAIR
+        idx, off = divmod(x - self.offset, self.stride)
+        return _pair(self._sites[idx]) if not off and 0 <= idx < len(self._sites) else _ZERO_PAIR
 
     def evolve(self, coin: Coin) -> "FiniteSupportState":
-        """One time step; the support grows by one site on each end."""
-        padded = [None, None, *self._sites, None, None]
+        """One time step; the window grows by one site on each end."""
+        ups, downs = _halves(coin, self._sites)
+        pad = [_ZERO_HALF] * (2 // self.stride)
         state = object.__new__(FiniteSupportState)  # the step's output needs no check
-        state.offset, state._sites = self.offset - 1, _step(coin, padded, padded[2:])
+        state.offset, state.stride = self.offset - 1, self.stride
+        state._sites = list(map(add, ups + pad, pad + downs))
         return state
 
     def measure(self) -> "Measure":
-        return Measure._of_weights(_weights(self._sites), self.offset, False)
+        weights = [0.0] * len(self.sites())  # a site between two stored ones weighs 0.0
+        weights[::self.stride] = _weights(self._sites)
+        return Measure._of_weights(weights, self.offset, False)
 
     def norm_sq(self) -> float:
         return sum(_weights(self._sites))
@@ -165,7 +161,7 @@ class FiniteSupportState:
                             [[l.to_json(), r.to_json()] for l, r in self.pairs])
 
     def __repr__(self):
-        return f"FiniteSupportState(offset={self.offset}, sites={len(self._sites)})"
+        return f"FiniteSupportState(offset={self.offset}, sites={len(self.sites())})"
 
 
 class PeriodicState:
@@ -181,7 +177,7 @@ class PeriodicState:
         """The same spinor at every site (period 1)."""
         return cls([spinor])
 
-    pairs = property(_pairs)
+    pairs = property(lambda self: tuple(list(map(_pair, self._sites))))
 
     @property
     def period(self) -> int:
@@ -192,9 +188,9 @@ class PeriodicState:
 
     def evolve(self, coin: Coin) -> "PeriodicState":
         """One time step; shift-equivariance keeps the period fixed."""
-        sites = self._sites
+        ups, downs = _halves(coin, self._sites)
         state = object.__new__(PeriodicState)  # the step's output needs no check
-        state._sites = _step(coin, sites[-1:] + sites[:-1], sites[1:] + sites[:1])
+        state._sites = list(map(add, ups[1:] + ups[:1], downs[-1:] + downs[:-1]))
         return state
 
     def measure(self) -> "Measure":
@@ -336,8 +332,8 @@ def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[dic
     states = accumulate(range(n_max), lambda state, _: state.evolve(coin),
                         initial=FiniteSupportState.delta(spinor))
     # The walk is exactly 0.0 off the parity of the window's first site (the
-    # None sites), and a law omits exact zeros, so reading the live parity
-    # alone leaves every law, its keys and their order as they are.
+    # sites it does not store), and a law omits exact zeros, so reading the
+    # live parity alone leaves every law, its keys and their order as they are.
     return ({x: p for x, p in zip(mu.sites()[::2], mu.values[::2]) if p != 0.0}
             for mu in map(FiniteSupportState.measure, states))
 

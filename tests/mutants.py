@@ -46,10 +46,22 @@ TUPLE_RULE = "tests/test_package.py::test_no_tuple_is_built_from_an_iterator"
 
 # (file under src/qqwalk, exact old text, new text, test node ids that must fail)
 MUTANTS = [
-    ("walk.py",  # _step: the coin row's second product joins the first one's sum
-     "up = ((aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),",
-     "up = (aw * lw - ax * lx - ay * ly - az * lz + bw * rw - bx * rx - by * ry - bz * rz,",
+    ("walk.py",  # _halves: the coin row's second product joins the first one's sum
+     "ups.append(((aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),",
+     "ups.append((aw * lw - ax * lx - ay * ly - az * lz + bw * rw - bx * rx - by * ry - bz * rz,",
      ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
+    ("walk.py",  # FiniteSupportState.evolve: a dense window padded one half too short
+     "pad = [_ZERO_HALF] * (2 // self.stride)",
+     "pad = [_ZERO_HALF] * 1",
+     ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
+    ("walk.py",  # FiniteSupportState: a one-site state stored dense, its dead sites computed
+     "self.stride = 2 if len(self._sites) == 1 else 1",
+     "self.stride = 1",
+     ["tests/test_walk.py::test_point_started_walks_step_only_their_live_sites"]),
+    ("walk.py",  # FiniteSupportState.amplitude: a site between two stored ones reads a neighbour
+     "_pair(self._sites[idx]) if not off and 0 <= idx",
+     "_pair(self._sites[idx]) if 0 <= idx",
+     ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
     ("coin.py",  # _matmul: the same regrouping in the flat 2x2 kernel
      "return ((aw * ew - ax * ex - ay * ey - az * ez) + (bw * gw - bx * gx - by * gy - bz * gz),",
      "return (aw * ew - ax * ex - ay * ey - az * ez + bw * gw - bx * gx - by * gy - bz * gz,",
@@ -146,9 +158,9 @@ MUTANTS = [
      "vals = tuple(list(map(float, values)))",
      "vals = tuple(map(float, values))",
      ["tests/test_walk.py::test_measure_keeps_no_blocks_across_calls", TUPLE_RULE]),
-    ("walk.py",  # _pairs
-     "return tuple(list(map(_pair, state._sites)))",
-     "return tuple(map(_pair, state._sites))",
+    ("walk.py",  # PeriodicState.pairs
+     "tuple(list(map(_pair, self._sites)))",
+     "tuple(map(_pair, self._sites))",
      ["tests/test_walk.py::test_pairs_keep_no_blocks_across_calls", TUPLE_RULE]),
     ("verify.py",  # _random_direction
      "q = Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)])",

@@ -28,7 +28,7 @@ from qqwalk import (
     state_from_json,
 )
 from qqwalk.coin import PRESET_NAMES
-from qqwalk.walk import _step, _weights
+from qqwalk.walk import _halves, _weights
 
 from conftest import (
     SQRT_HALF,
@@ -395,8 +395,7 @@ _site_component = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-308,
                      1e-200, -1e-200, 1e154, -1e154, 1e200]))
-_weight_sites = st.lists(st.one_of(st.none(), st.tuples(*[_site_component] * 8)),
-                         min_size=1, max_size=6)
+_weight_sites = st.lists(st.tuples(*[_site_component] * 8), min_size=1, max_size=6)
 
 
 @given(sites=_weight_sites, offset=st.integers(-3, 3), periodic=st.booleans())
@@ -412,11 +411,16 @@ def _states(*amplitudes):
     return FiniteSupportState(-1, pairs), PeriodicState(pairs)
 
 
+def _pair_weights(state) -> list[float]:
+    """The site weights of ``state.pairs``, every site of its window or period."""
+    return _weights([left.components() + right.components() for left, right in state.pairs])
+
+
 def _constructor_measure(state) -> Measure:
     """What ``state.measure()`` built before it trusted its weights."""
     if isinstance(state, PeriodicState):
-        return Measure(_weights(state._sites), periodic=True)
-    return Measure(_weights(state._sites), offset=state.offset)
+        return Measure(_pair_weights(state), periodic=True)
+    return Measure(_pair_weights(state), offset=state.offset)
 
 
 @pytest.mark.parametrize("amplitudes", [
@@ -436,7 +440,7 @@ def test_state_measure_rejects_weights_the_constructor_rejects(amplitudes):
 def test_state_measure_takes_weights_whose_sum_overflows():
     # each weight is about 1e308, and their sum is past the float max
     for state in _states(1e154, 1.3e154):
-        assert sum(_weights(state._sites)) == math.inf
+        assert sum(_pair_weights(state)) == math.inf
         assert _outcome(state.measure) == _outcome(lambda: _constructor_measure(state))
         assert state.measure().values == (1e154 * 1e154, 1.3e154 * 1.3e154)
 
@@ -496,8 +500,9 @@ def _scalar_step(coin, old: dict, positions) -> dict:
     """One step of the scalar reference ``coin.matrix.apply`` on a site -> pair map.
 
     ``psiL'(x)`` comes from the pair at x+1 and ``psiR'(x)`` from the pair at
-    x-1.  A padded site (None, or absent) contributes a zero with no
-    arithmetic, and a site whose neighbours are both padded stays None.
+    x-1.  A site that is absent or None contributes a zero with no
+    arithmetic, and a site with neither neighbour is None: a site off the
+    parity of a point-started walk, which the walk never computes.
     """
     new = {}
     for x in positions:
@@ -540,33 +545,51 @@ def test_flat_walk_is_bit_identical_to_the_scalar_walk(entries):
         pairs = [stepped[x] for x in range(period)]
         _assert_bits(periodic, dict(enumerate(pairs)))
 
+    # dense caller windows at a nonzero offset, with a zero pair and a -0.0 one
+    for n in range(2, 6):
+        window = [random_unit_pair(rng) for _ in range(n - 2)]
+        window += [(q(), q()), (q(-0.0, 0.6), q(0.0, -0.0, 0.8, -0.0))]
+        rng.shuffle(window)
+        offset = (-1) ** n * n
+        finite = FiniteSupportState(offset, window)
+        reference = {offset + j: pair for j, pair in enumerate(window)}
+        for t in range(1, 21):
+            finite = finite.evolve(coin)
+            assert finite.sites() == range(offset - t, offset + n + t)
+            reference = _scalar_step(coin, reference, finite.sites())
+            _assert_bits(finite, reference)
+
 
 _component = st.floats(min_value=-2.0, max_value=2.0)
 _amplitude = st.one_of(
     st.builds(Quaternion),  # a zero the caller passes, which is computed with
+    st.builds(Quaternion, st.sampled_from([0.0, -0.0]), _component, _component, _component),
     st.builds(Quaternion, _component, _component, _component, _component))
-_pair = st.one_of(st.none(), st.tuples(_amplitude, _amplitude))
 
 
 @given(seed=st.integers(0, 2 ** 32),
        entries=st.sampled_from(("real", "complex", "quaternion")),
-       pairs=st.lists(_pair, min_size=1, max_size=6),
-       shift=st.integers(0, 5))
-def test_coin_rows_are_bit_identical_to_the_scalar_product(seed, entries, pairs, shift):
+       pairs=st.lists(st.tuples(_amplitude, _amplitude), min_size=1, max_size=6))
+def test_coin_rows_are_bit_identical_to_the_scalar_product(seed, entries, pairs):
     coin = random_unitary_coin(Random(seed), entries)
-    shift %= len(pairs)
-    rights = pairs[shift:] + pairs[:shift]
-    flat = [None if pair is None else pair[0].components() + pair[1].components()
-            for pair in pairs]
-    out = _step(coin, flat, flat[shift:] + flat[:shift])
-    assert len(out) == len(pairs)
-    for left, right, got in zip(pairs, rights, out):
-        if left is None and right is None:
-            assert got is None
-            continue
-        top = q() if right is None else coin.matrix.apply(right)[0]
-        bottom = q() if left is None else coin.matrix.apply(left)[1]
-        assert [v.hex() for v in got] == [v.hex() for v in top.components() + bottom.components()]
+    ups, downs = _halves(coin, [left.components() + right.components() for left, right in pairs])
+    assert len(ups) == len(downs) == len(pairs)
+    for pair, up, down in zip(pairs, ups, downs):
+        top, bottom = coin.matrix.apply(pair)
+        assert [v.hex() for v in up + down] == [v.hex() for v in top.components() + bottom.components()]
+
+
+def test_point_started_walks_step_only_their_live_sites(monkeypatch):
+    handed = []
+
+    def counting_halves(coin, sites):
+        handed.append(len(sites))
+        return _halves(coin, sites)
+
+    monkeypatch.setattr("qqwalk.walk._halves", counting_halves)
+    law = list(distributions(preset_coin("hadamard"), up_spinor(), 30))
+    assert handed == [t + 1 for t in range(30)]  # the live parity of the 2t + 1 window
+    assert sorted(law[30]) == list(range(-30, 31, 2))
 
 
 def test_walk_does_no_quaternion_products(monkeypatch):
