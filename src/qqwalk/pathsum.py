@@ -17,19 +17,30 @@ Both fold every word left to right and enumerate words in the same
 deterministic order (lexicographic in the P positions), so sums are
 bit-stable across runs.  Words that share a prefix share its fold, which
 takes C(n+2, l+1) - 4 steps in all for 0 < l < n instead of one per
-letter of every word, C(n, l) * (n - 1).
+letter of every word, C(n, l) * (n - 1).  A step is a one-argument
+function picked by the prefix's last letter and the next one, so it
+neither looks its letter up nor slices its input.  Once a prefix has used
+up its P's or its Q's, the rest of its one word is a forced tail, folded
+with no stack pushes; the steps, their count and every operation order
+stay as they are.
 
 The folds run on flat floats, and quaternions are built once, from the
 totals.  Brute force carries one row per word: P = [[a, b], [0, 0]] and
 Q = [[0, 0], [c, d]] each have a zero row, and a word's product keeps the
 zero row of its first letter, the bottom one after a P and the top one
 after a Q.  The other row is an 8-tuple ``(u, v)``, read from
-``coin.flat``, and ``_row_step`` maps it to ``(u a, u b)`` on a P and to
-``(v c, v d)`` on a Q; words that start with P are totalled into the top
-row and the others into the bottom row.  The reduced fold carries a
-coefficient 4-tuple ``(w, x, y, z)`` through ``_reduction_step``.  Both
-spell each product out in the operation order of ``Quaternion.__mul__``
-and each sum in that of ``__add__``.
+``coin.flat``; whatever the last letter, the P step maps it to
+``(u a, u b)`` and the Q step to ``(v c, v d)``.  Words that start with P
+are totalled into the top row and the others into the bottom row.  The
+reduced fold carries a coefficient 4-tuple ``(w, x, y, z)``.  A word's
+basis is fixed by its first and last letters (P..P, Q..Q, P..Q and Q..P
+give P, Q, R and S), and by the product table appending a letter
+multiplies the coefficient on the right by an entry that depends only on
+the basis's last letter.  So the reduced steps are the right products by
+a, b, c and d for (last, next) = PP, PQ, QP and QQ, read from
+``PRODUCT_RULES``, and each word's basis is read from its end letters when
+it is totalled.  Both spell each product out in the operation order of
+``Quaternion.__mul__`` and each sum in that of ``__add__``.
 
 The row fold leaves out the terms of ``QMatrix2.__matmul__`` that
 multiply a zero entry, and the zero row of each word, which a matrix fold
@@ -53,7 +64,6 @@ and ``Quaternion`` objects only for what they return.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -132,38 +142,40 @@ class PQWord:
         return self.letters()
 
 
-def _reduction_step(coin: Coin):
-    """The product-table fold step ``(coeff, B), L -> (coeff * entry, B')`` on flat coefficients."""
-    rules = {pair: (coin.entry(entry_name).components(), result)
-             for pair, (entry_name, result) in PRODUCT_RULES.items()}
+def _reduction_steps(coin: Coin) -> dict:
+    """The reduced fold's steps by (last, next) letter: right products by the table's entries."""
+    def step(entry):
+        ew, ex, ey, ez = coin.entry(entry).components()
 
-    def step(folded, letter):
-        (cw, cx, cy, cz), basis = folded
-        (ew, ex, ey, ez), basis = rules[(basis, letter)]
-        return (cw * ew - cx * ex - cy * ey - cz * ez,
-                cw * ex + cx * ew + cy * ez - cz * ey,
-                cw * ey - cx * ez + cy * ew + cz * ex,
-                cw * ez + cx * ey - cy * ex + cz * ew), basis
-    return step
+        def right_multiply(coeff):
+            cw, cx, cy, cz = coeff
+            return (cw * ew - cx * ex - cy * ey - cz * ez,
+                    cw * ex + cx * ew + cy * ez - cz * ey,
+                    cw * ey - cx * ez + cy * ew + cz * ex,
+                    cw * ez + cx * ey - cy * ex + cz * ew)
+        return right_multiply
+    return {pair: step(PRODUCT_RULES[pair][0]) for pair in itertools.product("PQ", repeat=2)}
 
 
-def _row_step(coin: Coin):
-    """The brute-force fold step ``(u, v), L -> (u, v) @ L`` on a word's nonzero row.
+def _row_steps(coin: Coin) -> dict:
+    """The brute-force fold's steps by (last, next) letter: P and Q, whatever the last.
 
     ``(u, v) @ P = (u a, u b)`` and ``(u, v) @ Q = (v c, v d)``; the terms
     with a zero entry of P or Q are left out.
     """
-    flat = coin.flat
-    rules = {"P": (0, flat[0:8]), "Q": (4, flat[8:16])}
-
-    def step(row, letter):
-        start, (ew, ex, ey, ez, fw, fx, fy, fz) = rules[letter]
-        uw, ux, uy, uz = row[start:start + 4]
-        return (uw * ew - ux * ex - uy * ey - uz * ez, uw * ex + ux * ew + uy * ez - uz * ey,
-                uw * ey - ux * ez + uy * ew + uz * ex, uw * ez + ux * ey - uy * ex + uz * ew,
-                uw * fw - ux * fx - uy * fy - uz * fz, uw * fx + ux * fw + uy * fz - uz * fy,
-                uw * fy - ux * fz + uy * fw + uz * fx, uw * fz + ux * fy - uy * fx + uz * fw)
-    return step
+    def step(reads_u, ew, ex, ey, ez, fw, fx, fy, fz):
+        def row_step(row):
+            if reads_u:
+                uw, ux, uy, uz, _, _, _, _ = row
+            else:
+                _, _, _, _, uw, ux, uy, uz = row
+            return (uw * ew - ux * ex - uy * ey - uz * ez, uw * ex + ux * ew + uy * ez - uz * ey,
+                    uw * ey - ux * ez + uy * ew + uz * ex, uw * ez + ux * ey - uy * ex + uz * ew,
+                    uw * fw - ux * fx - uy * fy - uz * fz, uw * fx + ux * fw + uy * fz - uz * fy,
+                    uw * fy - ux * fz + uy * fw + uz * fx, uw * fz + ux * fy - uy * fx + uz * fw)
+        return row_step
+    to_p, to_q = step(True, *coin.flat[0:8]), step(False, *coin.flat[8:16])
+    return {("P", "P"): to_p, ("Q", "P"): to_p, ("P", "Q"): to_q, ("Q", "Q"): to_q}
 
 
 _FLAT_ONE = ONE.components()
@@ -174,13 +186,16 @@ def reduce_word(coin: Coin, word: PQWord) -> tuple[Quaternion, str]:
 
     The first letter seeds the fold; each further letter rewrites
     ``coeff * B * L`` to ``(coeff * entry) * B'`` via the product table, so
-    any word, whatever its endpoints, lands on a single basis element.
-    For alternating blocks this reproduces the familiar pattern, e.g.
+    any word lands on the single basis element that starts and ends as it
+    does.  For alternating blocks this reproduces the familiar pattern, e.g.
     ``P^u Q^v P^w -> a^(u-1) b d^(v-1) c a^(w-1) P``.
     """
     letters = word.letters()
-    coeff, basis = functools.reduce(_reduction_step(coin), letters[1:], (_FLAT_ONE, letters[0]))
-    return Quaternion(*coeff), basis
+    steps = _reduction_steps(coin)
+    coeff = _FLAT_ONE
+    for pair in zip(letters, letters[1:]):
+        coeff = steps[pair](coeff)
+    return Quaternion(*coeff), PRODUCT_RULES[(letters[0], letters[-1])][1]
 
 
 def _check_split(n: int, l: int, m: int, cap: float = math.inf) -> None:
@@ -190,31 +205,44 @@ def _check_split(n: int, l: int, m: int, cap: float = math.inf) -> None:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
 
 
-def _folds(first, step, n: int, l: int):
+def _folds(firsts: dict, steps: dict, n: int, l: int):
     """Left fold of every word with l P's among n letters, in the order of
     ``itertools.combinations`` over the P positions.
 
-    Yields ``step(...step(first(w[0]), w[1])..., w[n-1])`` per word.  The
+    Yields ``(last letter, fold)`` per word, the fold being
+    ``steps[w[n-2], w[n-1]](...steps[w[0], w[1]](firsts[w[0]])...)``.  The
     word tree is walked depth first, P before Q, so each prefix is folded
-    once and shared by all words below it; the stack holds one pending
-    branch per level.
+    once and shared by all words below it; the stack holds one pending Q
+    branch per level.  Once a prefix has used up its P's or its Q's, the
+    rest of its one word is a forced tail, folded with no stack pushes.
     """
-    # (fold of the parent prefix, next letter, prefix length, P's left after it)
+    # the steps that can follow each last letter, to P and to Q
+    after = {"P": (steps["P", "P"], steps["P", "Q"]), "Q": (steps["Q", "P"], steps["Q", "Q"])}
+    q_to_q = steps["Q", "Q"]
+    # (fold of a prefix, its last letter, P's left after it, Q's left after it)
     stack = []
     if l < n:
-        stack.append((None, "Q", 1, l))
+        stack.append((firsts["Q"], "Q", l, n - l - 1))
     if l > 0:
-        stack.append((None, "P", 1, l - 1))
+        stack.append((firsts["P"], "P", l - 1, n - l))
     while stack:
-        parent, letter, depth, p_left = stack.pop()
-        folded = first(letter) if depth == 1 else step(parent, letter)
-        if depth == n:
-            yield folded
-            continue
-        if depth + p_left < n:
-            stack.append((folded, "Q", depth + 1, p_left))
-        if p_left:
-            stack.append((folded, "P", depth + 1, p_left - 1))
+        folded, last, p_left, q_left = stack.pop()
+        while p_left:  # P next; the Q branch waits on the stack while Q's are left
+            to_p, to_q = after[last]
+            if q_left:
+                stack.append((to_q(folded), "Q", p_left, q_left - 1))
+            folded, last, p_left = to_p(folded), "P", p_left - 1
+        if q_left:  # a forced tail of Q's
+            folded = after[last][1](folded)
+            for _ in range(q_left - 1):
+                folded = q_to_q(folded)
+            last = "Q"
+        yield last, folded
+
+
+def _by_first_letter(folds, n: int, l: int):
+    """The words of ``_folds`` that start with P, C(n - 1, l - 1) of them, then the rest."""
+    return itertools.islice(folds, math.comb(n - 1, l - 1) if l else 0), folds
 
 
 def path_sums(coin: Coin, n: int) -> list[QMatrix2]:
@@ -248,11 +276,10 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     if n == 0:
         return QMatrix2.identity()
     flat = coin.flat
-    rows = _folds({"P": flat[0:8], "Q": flat[8:16]}.__getitem__, _row_step(coin), n, l)
+    rows = _folds({"P": flat[0:8], "Q": flat[8:16]}, _row_steps(coin), n, l)
     top, bottom = [0.0] * 8, [0.0] * 8
-    for total, words in ((top, itertools.islice(rows, math.comb(n - 1, l - 1) if l else 0)),
-                         (bottom, rows)):
-        for uw, ux, uy, uz, vw, vx, vy, vz in words:
+    for total, words in zip((top, bottom), _by_first_letter(rows, n, l)):
+        for _, (uw, ux, uy, uz, vw, vx, vy, vz) in words:
             total[0] += uw
             total[1] += ux
             total[2] += uy
@@ -274,13 +301,16 @@ def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     if n == 0:
         return QMatrix2.identity()
     sums = {letter: [0.0] * 4 for letter in "PQRS"}
-    for (cw, cx, cy, cz), basis in _folds(lambda letter: (_FLAT_ONE, letter),
-                                          _reduction_step(coin), n, l):
-        total = sums[basis]
-        total[0] += cw
-        total[1] += cx
-        total[2] += cy
-        total[3] += cz
+    folds = _folds({"P": _FLAT_ONE, "Q": _FLAT_ONE}, _reduction_steps(coin), n, l)
+    for first, words in zip("PQ", _by_first_letter(folds, n, l)):
+        # a word's basis starts and ends as the word does
+        by_last = {last: sums[PRODUCT_RULES[(first, last)][1]] for last in "PQ"}
+        for last, (cw, cx, cy, cz) in words:
+            total = by_last[last]
+            total[0] += cw
+            total[1] += cx
+            total[2] += cy
+            total[3] += cz
     return PQRSDecomposition(*[Quaternion(*sums[letter]) for letter in "PQRS"]).reconstruct(coin)
 
 

@@ -70,7 +70,7 @@ MUTANTS = [
      "return max_or_nan([abs(x - y) for x, y in zip(m, n)])",
      "return max([abs(x - y) for x, y in zip(m, n)])",
      ["tests/test_coin.py::test_flat_kernel_is_bit_identical_to_the_scalar_operators"]),
-    ("pathsum.py",  # _reduction_step: the real part summed as w - (x + y + z)
+    ("pathsum.py",  # _reduction_steps: the real part summed as w - (x + y + z)
      "return (cw * ew - cx * ex - cy * ey - cz * ez,",
      "return (cw * ew - (cx * ex + cy * ey + cz * ez),",
      ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
@@ -84,9 +84,13 @@ MUTANTS = [
      "if not any(map(any, sites)):",
      "if not any(_weights(sites)):",
      ["tests/test_walk.py::test_tiny_amplitudes_are_not_zero"]),
-    ("pathsum.py",  # _row_step: the real part summed as w - (x + y + z)
+    ("pathsum.py",  # _row_steps: the real part summed as w - (x + y + z)
      "return (uw * ew - ux * ex - uy * ey - uz * ez,",
      "return (uw * ew - (ux * ex + uy * ey + uz * ez),",
+     ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
+    ("pathsum.py",  # _folds: a forced Q tail after a P starts with the Q->Q step
+     "folded = after[last][1](folded)",
+     "folded = q_to_q(folded)",
      ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
     ("pathsum.py",  # path_sum_bruteforce: a row total started at -0.0 keeps it with no words
      "top, bottom = [0.0] * 8, [0.0] * 8",

@@ -494,52 +494,93 @@ def test_tight_verify_tol_fails_reports_instead_of_raising(capsys, suite, tol, c
     assert {"word-reduction-oracle", "pqrs-round-trip"} <= failed
 
 
-@pytest.mark.parametrize("coin, l, mode, digest", [
-    ("example-ijk", 6, "brute",
+@pytest.mark.parametrize("coin, n, l, mode, digest", [
+    ("example-ijk", 12, 6, "brute",
      "0c04be08ff90b935bfe61617e0e2c3a373ac301b73a5203d045c5d9577722efb"),
-    ("example-ijk", 6, "reduced",
+    ("example-ijk", 12, 6, "reduced",
      "7584a1be19d1ca969b45c55b9d29bcde0dc05bd7c9ab2585256404f08af979c0"),
-    ("example-ijk", 3, "brute",
+    ("example-ijk", 12, 3, "brute",
      "e25ee2ec624d895bb02785a3777331301fabcbc183709ffba4fe34d48b21887d"),
-    ("example-ijk", 3, "reduced",
+    ("example-ijk", 12, 3, "reduced",
      "5aa18649fabae8d6dc52912b6ffb96839ea92ee8a0aa6b8a598bd80e4dbb1318"),
-    (RANDOM_COIN, 6, "brute",
+    (RANDOM_COIN, 12, 6, "brute",
      "f060e3bed7c0db59b82495f644c3a223d57ba0d859cb952697e5aee7a09e3007"),
-    (RANDOM_COIN, 6, "reduced",
+    (RANDOM_COIN, 12, 6, "reduced",
      "f78739635355d6849199fec9417dcfa45ab12c797442c47a8ae4d99c60ce6e8e"),
-    (RANDOM_COIN, 3, "brute",
+    (RANDOM_COIN, 12, 3, "brute",
      "a39e215f8b5a60f41e55a9ce70035bf57f9f61a43957d7bdee01ee630208fae7"),
-    (RANDOM_COIN, 3, "reduced",
+    (RANDOM_COIN, 12, 3, "reduced",
      "bdf0461d11b51876dfcd67957cfb9e97726b282e92044e6f93dc8ab77aa506a1"),
     # real entries give exact zeros, where a zero of the wrong sign would show
-    ("hadamard", 9, "brute",
+    ("hadamard", 12, 9, "brute",
      "bca6f15cfcc81a45812820b7b04a21cf99a464072bbdfdd2b48606cbbec84012"),
-    ("hadamard", 9, "reduced",
+    ("hadamard", 12, 9, "reduced",
      "3b90cef03ef3e275de25eabd82518b93c308b72a6138899aab9e86858fcfecf8"),
     # every word of flip at l = 0 or 12 is zero, so only the signs of its
     # zeros show, and a total of one row starts with no word at all
-    ("flip", 0, "brute",
+    ("flip", 12, 0, "brute",
      "a330f5c3484145d3042d3c4f6449df7f6e82b88c21b19cbc92469e85c6c952dd"),
-    ("flip", 0, "reduced",
+    ("flip", 12, 0, "reduced",
      "a330f5c3484145d3042d3c4f6449df7f6e82b88c21b19cbc92469e85c6c952dd"),
-    ("flip", 12, "brute",
+    ("flip", 12, 12, "brute",
      "a330f5c3484145d3042d3c4f6449df7f6e82b88c21b19cbc92469e85c6c952dd"),
-    ("flip", 12, "reduced",
+    ("flip", 12, 12, "reduced",
      "a330f5c3484145d3042d3c4f6449df7f6e82b88c21b19cbc92469e85c6c952dd"),
     # hadamard with its zero components written -0.0
-    (NEG_ZERO_HADAMARD, 6, "brute",
+    (NEG_ZERO_HADAMARD, 12, 6, "brute",
      "25b59550972a4d7ddce3ca8a77e16bbe668655b6788644414209f52f4affa1ed"),
-    (NEG_ZERO_HADAMARD, 6, "reduced",
+    (NEG_ZERO_HADAMARD, 12, 6, "reduced",
      "b3aa0eadb00e08ac19582dc97a5272bb8ed25b8fe75d8c5866cac7434cff8a0e"),
+    # at n = 14 and l in {0, 1, 13, 14} each word's fold is a forced tail
+    # from its first letter or from its one P or Q
+    (RANDOM_COIN, 14, 0, "brute",
+     "12cfec7b7093012559f0998fefe7b07404aa1440592b652f74e54ebe3db5b32d"),
+    (RANDOM_COIN, 14, 0, "reduced",
+     "12cfec7b7093012559f0998fefe7b07404aa1440592b652f74e54ebe3db5b32d"),
+    (RANDOM_COIN, 14, 1, "brute",
+     "f47ec618cfdf893d1ee20241e9b5d6cadf101517e68fc4b0cb9613a31b504623"),
+    (RANDOM_COIN, 14, 1, "reduced",
+     "28b81e83054c487e585a708b4fce77f1be40c2041965e452d8fea69e4e4a238a"),
+    (RANDOM_COIN, 14, 13, "brute",
+     "87cfda14e161b3f3a21c96d93a90558cd7d12e5a0897f3230ca4ea17477de27b"),
+    (RANDOM_COIN, 14, 13, "reduced",
+     "5b9b1ef1a55fad33195d065d526ef42d77e91971bb7d0bf2cc7885e815f45cc9"),
+    (RANDOM_COIN, 14, 14, "brute",
+     "091fce676a73a94805bcb8e0dbb8bd3c59ec125c10cce7009c1694a5d96fa7c8"),
+    (RANDOM_COIN, 14, 14, "reduced",
+     "091fce676a73a94805bcb8e0dbb8bd3c59ec125c10cce7009c1694a5d96fa7c8"),
+    (NEG_ZERO_HADAMARD, 14, 0, "brute",
+     "0a60bc5b7460a8183a053574a8d7e1f32b844392387a4416cfff1921f8dd5a23"),
+    (NEG_ZERO_HADAMARD, 14, 0, "reduced",
+     "0a60bc5b7460a8183a053574a8d7e1f32b844392387a4416cfff1921f8dd5a23"),
+    (NEG_ZERO_HADAMARD, 14, 1, "brute",
+     "c12ca77d19219a02bb723aed3e32741c8a5adc9b41f8a4eba189a4312e85e45f"),
+    (NEG_ZERO_HADAMARD, 14, 1, "reduced",
+     "50eaa70332814edad3c87d3ee0a0a3136f6c20916ceaebaf6b600e268b9ac1fb"),
+    (NEG_ZERO_HADAMARD, 14, 13, "brute",
+     "276159c39686d7aa71c93dff5aec5b7a436533abcd215549f71e87c05b467a18"),
+    (NEG_ZERO_HADAMARD, 14, 13, "reduced",
+     "66090d0ae64854ec90beb1eea08d29240c277e7e652d602e0880c962f29a3a83"),
+    (NEG_ZERO_HADAMARD, 14, 14, "brute",
+     "638ddede0da2b9ac990c26b8b2381c3b273d3b4815d4b271b584f807d501b81f"),
+    (NEG_ZERO_HADAMARD, 14, 14, "reduced",
+     "638ddede0da2b9ac990c26b8b2381c3b273d3b4815d4b271b584f807d501b81f"),
 ], ids=["example-ijk-6-brute", "example-ijk-6-reduced", "example-ijk-3-brute",
         "example-ijk-3-reduced", "random-coin-6-brute", "random-coin-6-reduced",
         "random-coin-3-brute", "random-coin-3-reduced", "hadamard-9-brute",
         "hadamard-9-reduced", "flip-0-brute", "flip-0-reduced", "flip-12-brute",
-        "flip-12-reduced", "neg-zero-hadamard-6-brute", "neg-zero-hadamard-6-reduced"])
-def test_xi_oracles_are_bit_identical_to_word_by_word_folds(capsys, coin, l, mode, digest):
+        "flip-12-reduced", "neg-zero-hadamard-6-brute", "neg-zero-hadamard-6-reduced",
+        "random-coin-14-0-brute", "random-coin-14-0-reduced", "random-coin-14-1-brute",
+        "random-coin-14-1-reduced", "random-coin-14-13-brute", "random-coin-14-13-reduced",
+        "random-coin-14-14-brute", "random-coin-14-14-reduced",
+        "neg-zero-hadamard-14-0-brute", "neg-zero-hadamard-14-0-reduced",
+        "neg-zero-hadamard-14-1-brute", "neg-zero-hadamard-14-1-reduced",
+        "neg-zero-hadamard-14-13-brute", "neg-zero-hadamard-14-13-reduced",
+        "neg-zero-hadamard-14-14-brute", "neg-zero-hadamard-14-14-reduced"])
+def test_xi_oracles_are_bit_identical_to_word_by_word_folds(capsys, coin, n, l, mode, digest):
     # digests of the output of the oracles folding each word on its own
-    code, out, _ = run_cli(capsys, "xi", "--coin", coin, "-n", "12", "-l", str(l),
-                           "-m", str(12 - l), "--mode", mode)
+    code, out, _ = run_cli(capsys, "xi", "--coin", coin, "-n", str(n), "-l", str(l),
+                           "-m", str(n - l), "--mode", mode)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -155,6 +155,21 @@ def test_product_table_checks_the_rules(monkeypatch):
     assert preset_coin("example-ijk").product_table().residual > 1e-10
 
 
+def test_product_rules_follow_from_the_end_letters():
+    # P, Q, R and S are what the words that start and end as P..P, Q..Q, P..Q
+    # and Q..P multiply out to, up to a left coefficient.  So B X is the coin
+    # entry at row "last letter of B" and column "first letter of X" (P the
+    # first, Q the second) times the basis that starts as B and ends as X.
+    # The path-sum folds step on a word's last letter and the next one, and
+    # read a word's basis from its first and last letters, because of this.
+    ends = {"P": "PP", "Q": "QQ", "R": "PQ", "S": "QP"}
+    entries = {"PP": "a", "PQ": "b", "QP": "c", "QQ": "d"}
+    assert len(PRODUCT_RULES) == 16
+    for (left, right), (name, result) in PRODUCT_RULES.items():
+        assert name == entries[ends[left][1] + ends[right][0]], (left, right)
+        assert ends[result] == ends[left][0] + ends[right][1], (left, right)
+
+
 def test_random_sampler_unitary_and_subfields():
     rng = Random(7)
     for _ in range(20):

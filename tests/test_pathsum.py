@@ -200,49 +200,38 @@ def test_oracles_are_bit_identical_to_word_by_word_folds(coin, n, data):
     assert _hexes(path_sum_reduced(coin, n, l, n - l)) == _hexes(reduced)
 
 
-def test_bruteforce_folds_each_shared_prefix_once(monkeypatch):
+def _counting(build, steps):
+    """``build`` with every step it returns recording its (last, next) pair in ``steps``."""
+    def counting_build(coin):
+        def counting(pair, step):
+            def counting_step(folded):
+                steps.append(pair)
+                return step(folded)
+            return counting_step
+        return {pair: counting(pair, step) for pair, step in build(coin).items()}
+    return counting_build
+
+
+def _assert_folds_each_shared_prefix_once(monkeypatch, oracle, builder):
     coin = preset_coin("example-ijk")
     steps = []
-    row_step = pathsum._row_step
-
-    def counting_row_step(coin):
-        step = row_step(coin)
-
-        def counting_step(row, letter):
-            steps.append(letter)
-            return step(row, letter)
-        return counting_step
-
-    monkeypatch.setattr(pathsum, "_row_step", counting_row_step)
-    path_sum_bruteforce(coin, 14, 7, 7)
-    # the word tree has C(16, 8) - 1 prefixes, 3 of them of length <= 1
+    monkeypatch.setattr(pathsum, builder, _counting(getattr(pathsum, builder), steps))
+    oracle(coin, 14, 7, 7)
+    # the word tree has C(16, 8) - 1 prefixes, 3 of them of length <= 1;
+    # a forced tail folds each of its prefixes once too
     assert len(steps) == math.comb(16, 8) - 4 == 12866
     for l in (0, 14):
         steps.clear()
-        path_sum_bruteforce(coin, 14, l, 14 - l)
-        assert len(steps) == 13
+        oracle(coin, 14, l, 14 - l)
+        assert steps == [("Q", "Q") if l == 0 else ("P", "P")] * 13
+
+
+def test_bruteforce_folds_each_shared_prefix_once(monkeypatch):
+    _assert_folds_each_shared_prefix_once(monkeypatch, path_sum_bruteforce, "_row_steps")
 
 
 def test_reduced_folds_each_shared_prefix_once(monkeypatch):
-    coin = preset_coin("example-ijk")
-    steps = []
-    reduction_step = pathsum._reduction_step
-
-    def counting_reduction_step(coin):
-        step = reduction_step(coin)
-
-        def counting_step(folded, letter):
-            steps.append(letter)
-            return step(folded, letter)
-        return counting_step
-
-    monkeypatch.setattr(pathsum, "_reduction_step", counting_reduction_step)
-    path_sum_reduced(coin, 14, 7, 7)
-    assert len(steps) == math.comb(16, 8) - 4 == 12866
-    for l in (0, 14):
-        steps.clear()
-        path_sum_reduced(coin, 14, l, 14 - l)
-        assert len(steps) == 13
+    _assert_folds_each_shared_prefix_once(monkeypatch, path_sum_reduced, "_reduction_steps")
 
 
 def test_oracles_keep_no_blocks_across_calls():
