@@ -15,14 +15,14 @@ for any n.  Two capped reference oracles enumerate one split's 2^n words:
 
 Both fold every word left to right and enumerate words in the same
 deterministic order (lexicographic in the P positions), so sums are
-bit-stable across runs.  Words that share a prefix share its fold, which
-takes C(n+2, l+1) - 4 steps in all for 0 < l < n instead of one per
-letter of every word, C(n, l) * (n - 1).  A step is a one-argument
-function picked by the prefix's last letter and the next one, so it
-neither looks its letter up nor slices its input.  Once a prefix has used
-up its P's or its Q's, the rest of its one word is a forced tail, folded
-with no stack pushes; the steps, their count and every operation order
-stay as they are.
+bit-stable across runs.  Each oracle folds the words that start with P,
+then those that start with Q, from that letter's root.  Words that share
+a prefix share its fold, which takes C(n+2, l+1) - 4 steps in all for
+0 < l < n instead of one per letter of every word, C(n, l) * (n - 1).
+The steps are one-argument functions keyed by the prefix's last letter,
+a pair (to P, to Q) each, so a step neither looks its letter up nor
+slices its input.  Once a prefix has used up its P's or its Q's, the
+rest of its one word is a forced tail, folded with no stack pushes.
 
 The folds run on flat floats, and quaternions are built once, from the
 totals.  Brute force carries one row per word: P = [[a, b], [0, 0]] and
@@ -30,8 +30,8 @@ Q = [[0, 0], [c, d]] each have a zero row, and a word's product keeps the
 zero row of its first letter, the bottom one after a P and the top one
 after a Q.  The other row is an 8-tuple ``(u, v)``, read from
 ``coin.flat``; whatever the last letter, the P step maps it to
-``(u a, u b)`` and the Q step to ``(v c, v d)``.  Words that start with P
-are totalled into the top row and the others into the bottom row.  The
+``(u a, u b)`` and the Q step to ``(v c, v d)``.  The P root's words are
+totalled into the top row and the Q root's into the bottom row.  The
 reduced fold carries a coefficient 4-tuple ``(w, x, y, z)``.  A word's
 basis is fixed by its first and last letters (P..P, Q..Q, P..Q and Q..P
 give P, Q, R and S), and by the product table appending a letter
@@ -64,7 +64,6 @@ and ``Quaternion`` objects only for what they return.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -143,7 +142,7 @@ class PQWord:
 
 
 def _reduction_steps(coin: Coin) -> dict:
-    """The reduced fold's steps by (last, next) letter: right products by the table's entries."""
+    """The reduced fold's steps, ``{last: (to P, to Q)}``: right products by the table's entries."""
     def step(entry):
         ew, ex, ey, ez = coin.entry(entry).components()
 
@@ -154,11 +153,12 @@ def _reduction_steps(coin: Coin) -> dict:
                     cw * ey - cx * ez + cy * ew + cz * ex,
                     cw * ez + cx * ey - cy * ex + cz * ew)
         return right_multiply
-    return {pair: step(PRODUCT_RULES[pair][0]) for pair in itertools.product("PQ", repeat=2)}
+    return {last: (step(PRODUCT_RULES[last, "P"][0]), step(PRODUCT_RULES[last, "Q"][0]))
+            for last in "PQ"}
 
 
 def _row_steps(coin: Coin) -> dict:
-    """The brute-force fold's steps by (last, next) letter: P and Q, whatever the last.
+    """The brute-force fold's steps, ``{last: (to P, to Q)}``: the same two whatever the last.
 
     ``(u, v) @ P = (u a, u b)`` and ``(u, v) @ Q = (v c, v d)``; the terms
     with a zero entry of P or Q are left out.
@@ -174,8 +174,8 @@ def _row_steps(coin: Coin) -> dict:
                     uw * fw - ux * fx - uy * fy - uz * fz, uw * fx + ux * fw + uy * fz - uz * fy,
                     uw * fy - ux * fz + uy * fw + uz * fx, uw * fz + ux * fy - uy * fx + uz * fw)
         return row_step
-    to_p, to_q = step(True, *coin.flat[0:8]), step(False, *coin.flat[8:16])
-    return {("P", "P"): to_p, ("Q", "P"): to_p, ("P", "Q"): to_q, ("Q", "Q"): to_q}
+    steps = (step(True, *coin.flat[0:8]), step(False, *coin.flat[8:16]))
+    return {"P": steps, "Q": steps}
 
 
 _FLAT_ONE = ONE.components()
@@ -191,10 +191,10 @@ def reduce_word(coin: Coin, word: PQWord) -> tuple[Quaternion, str]:
     ``P^u Q^v P^w -> a^(u-1) b d^(v-1) c a^(w-1) P``.
     """
     letters = word.letters()
-    steps = _reduction_steps(coin)
+    after = _reduction_steps(coin)
     coeff = _FLAT_ONE
-    for pair in zip(letters, letters[1:]):
-        coeff = steps[pair](coeff)
+    for last, letter in zip(letters, letters[1:]):
+        coeff = after[last][letter == "Q"](coeff)
     return Quaternion(*coeff), PRODUCT_RULES[(letters[0], letters[-1])][1]
 
 
@@ -205,26 +205,25 @@ def _check_split(n: int, l: int, m: int, cap: float = math.inf) -> None:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
 
 
-def _folds(firsts: dict, steps: dict, n: int, l: int):
-    """Left fold of every word with l P's among n letters, in the order of
-    ``itertools.combinations`` over the P positions.
+def _folds(first: str, root, after: dict, n: int, l: int):
+    """Left fold of every word that starts with ``first`` and has l P's among
+    n letters, in the order of ``itertools.combinations`` over the P positions.
 
-    Yields ``(last letter, fold)`` per word, the fold being
-    ``steps[w[n-2], w[n-1]](...steps[w[0], w[1]](firsts[w[0]])...)``.  The
-    word tree is walked depth first, P before Q, so each prefix is folded
-    once and shared by all words below it; the stack holds one pending Q
-    branch per level.  Once a prefix has used up its P's or its Q's, the
-    rest of its one word is a forced tail, folded with no stack pushes.
+    Yields ``(last letter, fold)`` per word, the fold starting at ``root``
+    (the fold of ``first`` alone) and taking ``after[last][next == "Q"]``
+    for each further letter; nothing if the split has no ``first`` letter.
+    The word tree is walked depth first, P before Q, so each prefix is
+    folded once and shared by all words below it; the stack holds one
+    pending Q branch per level.  Once a prefix has used up its P's or its
+    Q's, the rest of its one word is a forced tail, folded with no stack
+    pushes.
     """
-    # the steps that can follow each last letter, to P and to Q
-    after = {"P": (steps["P", "P"], steps["P", "Q"]), "Q": (steps["Q", "P"], steps["Q", "Q"])}
-    q_to_q = steps["Q", "Q"]
+    p_left, q_left = (l - 1, n - l) if first == "P" else (l, n - l - 1)
+    if p_left < 0 or q_left < 0:
+        return
+    q_to_q = after["Q"][1]
     # (fold of a prefix, its last letter, P's left after it, Q's left after it)
-    stack = []
-    if l < n:
-        stack.append((firsts["Q"], "Q", l, n - l - 1))
-    if l > 0:
-        stack.append((firsts["P"], "P", l - 1, n - l))
+    stack = [(root, first, p_left, q_left)]
     while stack:
         folded, last, p_left, q_left = stack.pop()
         while p_left:  # P next; the Q branch waits on the stack while Q's are left
@@ -238,11 +237,6 @@ def _folds(firsts: dict, steps: dict, n: int, l: int):
                 folded = q_to_q(folded)
             last = "Q"
         yield last, folded
-
-
-def _by_first_letter(folds, n: int, l: int):
-    """The words of ``_folds`` that start with P, C(n - 1, l - 1) of them, then the rest."""
-    return itertools.islice(folds, math.comb(n - 1, l - 1) if l else 0), folds
 
 
 def path_sums(coin: Coin, n: int) -> list[QMatrix2]:
@@ -269,17 +263,15 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     """Sum of all C(n, l) operator words, each multiplied out as matrices; n <= WORD_CAP.
 
     Each word is folded as its nonzero row (see the module docstring).  The
-    C(n - 1, l - 1) words that start with P come first in the enumeration
-    and total the top row; the rest total the bottom row.
+    words that start with P total the top row and the rest the bottom row.
     """
     _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
-    flat = coin.flat
-    rows = _folds({"P": flat[0:8], "Q": flat[8:16]}, _row_steps(coin), n, l)
+    flat, after = coin.flat, _row_steps(coin)
     top, bottom = [0.0] * 8, [0.0] * 8
-    for total, words in zip((top, bottom), _by_first_letter(rows, n, l)):
-        for _, (uw, ux, uy, uz, vw, vx, vy, vz) in words:
+    for first, root, total in (("P", flat[0:8], top), ("Q", flat[8:16], bottom)):
+        for _, (uw, ux, uy, uz, vw, vx, vy, vz) in _folds(first, root, after, n, l):
             total[0] += uw
             total[1] += ux
             total[2] += uy
@@ -301,17 +293,17 @@ def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     if n == 0:
         return QMatrix2.identity()
     sums = {letter: [0.0] * 4 for letter in "PQRS"}
-    folds = _folds({"P": _FLAT_ONE, "Q": _FLAT_ONE}, _reduction_steps(coin), n, l)
-    for first, words in zip("PQ", _by_first_letter(folds, n, l)):
+    after = _reduction_steps(coin)
+    for first in "PQ":
         # a word's basis starts and ends as the word does
         by_last = {last: sums[PRODUCT_RULES[(first, last)][1]] for last in "PQ"}
-        for last, (cw, cx, cy, cz) in words:
+        for last, (cw, cx, cy, cz) in _folds(first, _FLAT_ONE, after, n, l):
             total = by_last[last]
             total[0] += cw
             total[1] += cx
             total[2] += cy
             total[3] += cz
-    return PQRSDecomposition(*[Quaternion(*sums[letter]) for letter in "PQRS"]).reconstruct(coin)
+    return _unflat(_reconstruct(coin.flat_basis, *sums.values()))
 
 
 @dataclass(frozen=True)
@@ -322,7 +314,7 @@ class PQRSDecomposition:
     q: Quaternion
     r: Quaternion
     s: Quaternion
-    residual: float = 0.0  # measured by decompose_pqrs; not part of to_json
+    residual: float  # of the reconstruction, as decompose_pqrs measures it; not part of to_json
 
     def reconstruct(self, coin: Coin) -> QMatrix2:
         return _unflat(_reconstruct(coin.flat_basis, self.p.components(), self.q.components(),

@@ -92,6 +92,10 @@ MUTANTS = [
      "folded = after[last][1](folded)",
      "folded = q_to_q(folded)",
      ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
+    ("pathsum.py",  # _folds: the P root's words one Q short (the root guard still holds)
+     "(l - 1, n - l)",
+     "(l - 1, n - l - 1)",
+     ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
     ("pathsum.py",  # path_sum_bruteforce: a row total started at -0.0 keeps it with no words
      "top, bottom = [0.0] * 8, [0.0] * 8",
      "top, bottom = [-0.0] * 8, [0.0] * 8",

@@ -356,7 +356,7 @@ def test_flat_kernel_is_bit_identical_to_the_scalar_operators(matrix, other, coe
                         for (left, right), (name, result) in PRODUCT_RULES.items()])
     assert coin.product_table().residual.hex() == table.hex()
 
-    assert (_hexes(*PQRSDecomposition(*coeffs).reconstruct(coin).entries())
+    assert (_hexes(*PQRSDecomposition(*coeffs, math.nan).reconstruct(coin).entries())
             == _hexes(*_scalar_reconstruct(coin, *coeffs).entries()))
 
     ac, bc, cc, dc = (entry.conj() for entry in matrix.entries())

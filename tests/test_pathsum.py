@@ -208,7 +208,8 @@ def _counting(build, steps):
                 steps.append(pair)
                 return step(folded)
             return counting_step
-        return {pair: counting(pair, step) for pair, step in build(coin).items()}
+        return {last: (counting((last, "P"), to_p), counting((last, "Q"), to_q))
+                for last, (to_p, to_q) in build(coin).items()}
     return counting_build
 
 
@@ -353,6 +354,11 @@ def test_zero_step_split_is_identity():
     assert path_sum_bruteforce(coin, 0, 0, 0) == QMatrix2.identity()
     assert path_sum_reduced(coin, 0, 0, 0) == QMatrix2.identity()
     assert path_sum(coin, 0, 0, 0) == QMatrix2.identity()
+    # a one-step split is its one letter: each first letter's root, with an empty tail
+    for coin in map(preset_coin, PRESET_NAMES):
+        for oracle in (path_sum_bruteforce, path_sum_reduced):
+            assert oracle(coin, 1, 1, 0) == coin.p
+            assert oracle(coin, 1, 0, 1) == coin.q
 
 
 def test_path_sums_beyond_cap_form_a_resolution_of_identity():
