@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from itertools import accumulate, islice
-from operator import add
+from operator import add, index
 
 from .coin import Coin
 from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, max_or_nan
@@ -121,7 +121,7 @@ class FiniteSupportState:
     __slots__ = ("offset", "stride", "_sites")
 
     def __init__(self, offset: int, pairs):
-        self.offset = int(offset)
+        self.offset = index(offset)
         self._sites = _flatten(pairs)
         self.stride = 2 if len(self._sites) == 1 else 1
 
@@ -235,7 +235,7 @@ class Measure:
         if not (vals and min(vals) >= 0.0 and max(vals) < math.inf and sum(vals) > 0.0):
             raise ValueError(_MEASURE_VALUES)
         self.values = vals
-        self.offset = int(offset)
+        self.offset = index(offset)
         self.periodic = bool(periodic)
 
     @classmethod
@@ -290,9 +290,8 @@ class Measure:
             raise ValueError("cannot compare periodic and finite measures")
         if self.periodic and len(self.values) != len(other.values):
             raise ValueError("periodic measures have different periods")
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.values), other.offset + len(other.values))
-        return max_or_nan([abs(self.value(x) - other.value(x)) for x in range(lo, hi)])
+        sites = self.sites() if self.periodic else {*self.sites(), *other.sites()}
+        return max_or_nan([abs(self.value(x) - other.value(x)) for x in sites])
 
     def approx_eq(self, other: "Measure", tol: float = DEFAULT_TOL) -> bool:
         return self.max_dev(other) <= tol

@@ -200,6 +200,14 @@ MUTANTS = [
      "columns = [[state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks]",
      "columns = ([state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks)",
      ["tests/test_pathsum.py::test_path_sums_keep_no_blocks_across_calls", TUPLE_RULE]),
+    ("walk.py",  # Measure.max_dev: the other window's sites never read
+     "sites = self.sites() if self.periodic else {*self.sites(), *other.sites()}",
+     "sites = self.sites()",
+     ["tests/test_walk.py::test_max_dev_equals_the_scan_from_the_lower_start_to_the_higher_end[disjoint]"]),
+    ("walk.py",  # FiniteSupportState and Measure: a float or str offset truncated by int()
+     "from operator import add, index",
+     "from operator import add\nindex = int",
+     ["tests/test_walk.py::test_offsets_are_integers[float-0.5]"]),
 ]
 
 

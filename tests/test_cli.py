@@ -351,18 +351,20 @@ def test_classify_negative_window_exits_2(capsys):
     assert "window" in err
 
 
-@pytest.mark.parametrize("values", [
-    [1.000000004, 1.000000001, 1.000000003, 1, 1.000000002, 1.000000001, 1.000000005],
-    [1.000000001, 1.000000004, 1.000000002, 1, 1.000000003, 1.000000005, 1.000000001],
-], ids=["noise-order-1", "noise-order-2"])
-def test_classify_near_flat_measure_is_other(capsys, values):
+@pytest.mark.parametrize("measure, symmetric", [
+    ({"kind": "finite", "offset": -3, "values": [
+        1.000000004, 1.000000001, 1.000000003, 1, 1.000000002, 1.000000001, 1.000000005]}, False),
+    ({"kind": "finite", "offset": -3, "values": [
+        1.000000001, 1.000000004, 1.000000002, 1, 1.000000003, 1.000000005, 1.000000001]}, False),
+    ({"kind": "periodic", "values": [2, 5, 8, 5]}, True),
+], ids=["noise-order-1", "noise-order-2", "periodic"])
+def test_classify_near_flat_measure_is_other(capsys, measure, symmetric):
     # a flat measure with noise between tol and EXP_FIT_TOL: its fitted slope
     # changes log mu by about 1e-9 over the window, which the fit cannot
-    # resolve, so neither the slope's sign nor a gamma of 1 - 1e-9 is a class
-    measure = json.dumps({"kind": "finite", "offset": -3, "values": values})
-    code, out, _ = run_cli(capsys, "classify", "--window", "3", "--measure", measure)
-    assert code == 0
-    assert json.loads(out)["kind"] == "other"
+    # resolve, so neither the slope's sign nor a gamma of 1 - 1e-9 is a class;
+    # a periodic measure is never exponential, and the window does not enter it
+    code, out, _ = run_cli(capsys, "classify", "--window", "3", "--measure", json.dumps(measure))
+    assert (code, out) == (0, json.dumps({"kind": "other", "symmetric": symmetric}) + "\n")
 
 
 @pytest.mark.parametrize("command, flag", [("dist", "--init"), ("eigen-check", "--eigenvalue")])

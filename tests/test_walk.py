@@ -28,6 +28,7 @@ from qqwalk import (
     state_from_json,
 )
 from qqwalk.coin import PRESET_NAMES
+from qqwalk.quaternion import max_or_nan
 from qqwalk.walk import _halves, _weights
 
 from conftest import (
@@ -476,6 +477,60 @@ def test_measure_max_dev():
         periodic.max_dev(one)
     with pytest.raises(ValueError):
         periodic.max_dev(Measure([1.0], periodic=True))
+
+
+def _range_max_dev(one: Measure, other: Measure) -> float:
+    """``max_dev`` as a scan of every site from the lower start to the higher end."""
+    lo = min(one.offset, other.offset)
+    hi = max(one.offset + len(one.values), other.offset + len(other.values))
+    return max_or_nan([abs(one.value(x) - other.value(x)) for x in range(lo, hi)])
+
+
+def _random_weights(rng: Random, size: int) -> list[float]:
+    """``size`` weights, some of them 0.0, one of them at least 0.1."""
+    weights = [rng.choice([0.0, rng.random()]) for _ in range(size)]
+    weights[rng.randrange(size)] = rng.uniform(0.1, 1.0)
+    return weights
+
+
+@pytest.mark.parametrize("layout", ["overlapping", "touching", "disjoint", "periodic"])
+def test_max_dev_equals_the_scan_from_the_lower_start_to_the_higher_end(layout):
+    rng = Random(f"max-dev-{layout}")
+    for _ in range(200):
+        size, other_size = rng.randint(1, 6), rng.randint(1, 6)
+        if layout == "periodic":
+            other_size, offset, other_offset = size, 0, 0
+        else:
+            offset = rng.randint(-5, 5)
+            shift = {"overlapping": rng.randint(1 - other_size, size - 1),
+                     "touching": rng.choice([size, -other_size]),
+                     "disjoint": rng.choice([size, -other_size - 1]) + rng.randint(1, 9)}[layout]
+            other_offset = offset + shift
+        periodic = layout == "periodic"
+        one = Measure(_random_weights(rng, size), offset=offset, periodic=periodic)
+        other = Measure(_random_weights(rng, other_size), offset=other_offset, periodic=periodic)
+        assert one.max_dev(other) == _range_max_dev(one, other)
+        assert other.max_dev(one) == _range_max_dev(other, one)
+
+
+def test_max_dev_reads_only_the_sites_of_both_windows(monkeypatch):
+    # every site between two far-apart windows is 0.0 in both: a scan of the
+    # gap would read each measure's value 10**6 times here
+    calls = []
+    value = Measure.value
+    monkeypatch.setattr(Measure, "value", lambda self, x: calls.append(x) or value(self, x))
+    one, other = Measure([1.0, 0.5]), Measure([0.5, 0.25, 1.0], offset=10**6)
+    assert one.max_dev(other) == 1.0
+    assert len(calls) <= 2 * (2 + 3)
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.9, "3"], ids=["float-0.5", "float-1.9", "str-3"])
+def test_offsets_are_integers(offset):
+    # int() would read these as sites 0, 1 and 3
+    with pytest.raises(TypeError):
+        Measure([1.0], offset=offset)
+    with pytest.raises(TypeError):
+        FiniteSupportState(offset, [up_spinor()])
 
 
 def test_periodic_and_finite_evolution_agree_on_interior():
