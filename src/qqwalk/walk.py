@@ -26,13 +26,19 @@ point is zero where ``x != t (mod 2)``.  A finite state stores its sites at
 ``offset + stride * j``: stride 2 for one site and every walk from it, 1 for
 a caller's window of two or more.  The sites between read as zeros, a step's
 ends add the +0.0 ``_ZERO_HALF``, and a caller's zero pair is computed with.
+
+A walk from the origin reports itself through one stream, ``_site_weights``:
+for each step, its first stored site and the weights of its stored sites,
+with no ``Measure``, no zero fill and no dict.  ``distributions`` is a dict
+view over that stream, and ``distribution`` walks n steps and reads its one
+law from the final state's ``measure``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from operator import add, index
 
 from .coin import Coin
@@ -316,30 +322,55 @@ def _check_normalized(spinor: AmplitudePair) -> None:
         raise NotNormalizedError(f"initial spinor has squared norm {total!r}")
 
 
+def _walk(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[FiniteSupportState]:
+    """States at times 0..n_max of the walk from the origin, arguments checked on the call."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    _check_normalized(spinor)
+    return accumulate(range(n_max), lambda state, _: state.evolve(coin),
+                      initial=FiniteSupportState.delta(spinor))
+
+
+def _site_weights(coin: Coin, spinor: AmplitudePair,
+                  n_max: int) -> Iterator[tuple[int, list[float]]]:
+    """``(first site, weights)`` for times 0..n_max of the walk from the origin.
+
+    The weights are those of the stored sites ``first, first + 2, ...``,
+    read off each state as it is stepped: no ``Measure``, no zero fill and
+    no dict.  The arguments are checked on the call.
+    """
+    return ((state.offset, _weights(state._sites)) for state in _walk(coin, spinor, n_max))
+
+
 def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[dict[int, float]]:
     """Position laws for times 0..n_max of the walk started at the origin.
 
     The arguments are checked on the call; the laws then come one step at a
     time, holding only the current state.  Each maps site -> probability;
     exactly-zero sites are omitted, so the support reflects the parity of
-    the step count.  Each law reads every second site of its measure,
-    starting at the window's first site.
+    the step count.  Each law is a dict view of one step of the weight
+    stream ``_site_weights``: the walk is exactly 0.0 off the parity of
+    its first site, and those sites are neither stored nor read.
+
+    No law goes through ``Measure._of_weights``, and no check is lost: the
+    spinor passes ``_check_normalized`` and the coin is a validated
+    unitary, so every weight is finite and the weights sum to 1 within
+    rounding, never to 0.0, NaN or inf.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _check_normalized(spinor)
-    states = accumulate(range(n_max), lambda state, _: state.evolve(coin),
-                        initial=FiniteSupportState.delta(spinor))
-    # The walk is exactly 0.0 off the parity of the window's first site (the
-    # sites it does not store), and a law omits exact zeros, so reading the
-    # live parity alone leaves every law, its keys and their order as they are.
-    return ({x: p for x, p in zip(mu.sites()[::2], mu.values[::2]) if p != 0.0}
-            for mu in map(FiniteSupportState.measure, states))
+    return ({x: p for x, p in zip(count(first, 2), weights) if p != 0.0}
+            for first, weights in _site_weights(coin, spinor, n_max))
 
 
 def distribution(coin: Coin, spinor: AmplitudePair, n: int) -> dict[int, float]:
-    """P(X_n = x) for the walk started from ``spinor`` at the origin."""
-    return next(islice(distributions(coin, spinor, n), n, None))
+    """P(X_n = x) for the walk started from ``spinor`` at the origin.
+
+    The arguments are checked on the call, as in ``distributions``.  The
+    walk takes n steps, and the one law is read from the final state's
+    ``measure``, with the exactly-zero sites omitted; it equals the n-th
+    law of ``distributions`` bit for bit.
+    """
+    mu = next(islice(_walk(coin, spinor, n), n, None)).measure()
+    return {x: p for x, p in zip(mu.sites(), mu.values) if p != 0.0}
 
 
 def hadamard_three_step_distribution(spinor: AmplitudePair) -> dict[int, float]:

@@ -193,9 +193,14 @@ MUTANTS = [
      "if not (not total <= 0.0 and (total < math.inf",
      ["tests/test_walk.py::test_state_measure_rejects_weights_the_constructor_rejects[nan-second]"]),
     ("walk.py",  # distributions: the laws read on the dead parity
-     "zip(mu.sites()[::2], mu.values[::2])",
-     "zip(mu.sites()[::2], mu.values[1::2])",
+     "zip(count(first, 2), weights)",
+     "zip(count(first + 1, 2), weights)",
      ["tests/test_walk.py::test_point_started_walks_are_zero_off_the_live_parity[hadamard]"]),
+    ("verify.py",  # suite_theorem1: the original walk's weights compared with themselves
+     "devs.extend(map(abs, map(sub, wa, wb)))",
+     "devs.extend(map(abs, map(sub, wa, wa)))",
+     ["tests/test_cli.py::test_verify_reports_are_byte_stable[0-"
+      "3f011c322375247347d899a5211171fa3ac0d2d000d93e585672caa6e7a2fd7a]"]),
     ("pathsum.py",  # path_sums: the columns zipped from a generator
      "columns = [[state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks]",
      "columns = ([state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks)",

@@ -241,13 +241,57 @@ def test_example_walk_matches_symmetric_hadamard_up_to_n4():
     assert sum(had[5].values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_distributions_checks_its_arguments_on_the_call():
-    # no law is taken: the checks must not wait for the first step
+def test_distributions_checks_its_arguments_on_the_call(monkeypatch):
+    # no law is taken and no step is made: the checks must not wait for
+    # the first step, and a negative n must not read as the t = 0 law
+    steps = []
+
+    def counting_halves(coin, sites):
+        steps.append(len(sites))
+        return _halves(coin, sites)
+
+    monkeypatch.setattr("qqwalk.walk._halves", counting_halves)
     coin = preset_coin("hadamard")
-    with pytest.raises(ValueError, match="n_max"):
-        distributions(coin, up_spinor(), -1)
-    with pytest.raises(NotNormalizedError):
-        distributions(coin, (q(1), q(1)), 2)
+    for walk in (distributions, distribution):
+        with pytest.raises(ValueError, match="n_max"):
+            walk(coin, up_spinor(), -1)
+        with pytest.raises(NotNormalizedError):
+            walk(coin, (q(1), q(1)), 2)
+    assert steps == []
+
+
+def test_laws_build_no_measure_but_the_last(monkeypatch):
+    # distributions reads the stored weights of each step; distribution
+    # measures its final state once
+    calls = []
+    state_measure, of_weights = FiniteSupportState.measure, Measure._of_weights.__func__
+
+    def counting_measure(state):
+        calls.append("measure")
+        return state_measure(state)
+
+    def counting_of_weights(cls, weights, offset, periodic):
+        calls.append("_of_weights")
+        return of_weights(cls, weights, offset, periodic)
+
+    monkeypatch.setattr(FiniteSupportState, "measure", counting_measure)
+    monkeypatch.setattr(Measure, "_of_weights", classmethod(counting_of_weights))
+    coin, spinor = random_unitary_coin(Random(30)), random_unit_pair(Random(31))
+    laws = list(distributions(coin, spinor, 30))
+    assert calls == [] and len(laws) == 31
+    law = distribution(coin, spinor, 30)
+    assert calls == ["measure", "_of_weights"]
+    assert sorted(law) == list(range(-30, 31, 2))
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "random"])
+def test_distribution_is_the_nth_law_of_distributions(name):
+    rng = Random(name)
+    coin = random_unitary_coin(rng) if name == "random" else preset_coin(name)
+    spinor = random_unit_pair(rng)
+    for n, law in enumerate(distributions(coin, spinor, 12)):
+        got = distribution(coin, spinor, n)
+        assert [(x, p.hex()) for x, p in got.items()] == [(x, p.hex()) for x, p in law.items()], n
 
 
 def test_distributions_hold_one_law_at_a_time():
