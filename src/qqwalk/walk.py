@@ -15,11 +15,8 @@ Quaternion)`` pairs once, ``evolve`` trusts the step's output, and only
 reads the coin's stored flat matrix ``coin.flat`` and spells the Hamilton
 products out in the operation order of ``Quaternion.__mul__`` then
 ``__add__``, so every component has the bits of the scalar reference
-``coin.matrix.apply(pair)``.  ``measure`` trusts the step's site weights
-as ``evolve`` trusts its pairs: it builds its ``Measure`` through
-``Measure._of_weights``, which checks only what a weight can get wrong,
-while a caller's or a JSON file's values keep every check of
-``Measure.__init__``.
+``coin.matrix.apply(pair)``.  Every ``Measure``, a state's own included,
+is built by ``Measure.__init__`` and gets all of its checks.
 
 A step reads only sites ``x - 1`` and ``x + 1``, so a walk started from a
 point is zero where ``x != t (mod 2)``.  A finite state stores its sites at
@@ -50,7 +47,6 @@ NORM_TOL = 1e-9
 AmplitudePair = tuple[Quaternion, Quaternion]
 
 _ZERO_HALF = (0.0, 0.0, 0.0, 0.0)
-_MEASURE_VALUES = "measure values must be finite, nonnegative and not all zero"
 _ZERO_PAIR: AmplitudePair = (Quaternion(), Quaternion())
 
 
@@ -157,7 +153,7 @@ class FiniteSupportState:
     def measure(self) -> "Measure":
         weights = [0.0] * len(self.sites())  # a site between two stored ones weighs 0.0
         weights[::self.stride] = _weights(self._sites)
-        return Measure._of_weights(weights, self.offset, False)
+        return Measure(weights, self.offset)
 
     def norm_sq(self) -> float:
         return sum(_weights(self._sites))
@@ -200,7 +196,7 @@ class PeriodicState:
         return state
 
     def measure(self) -> "Measure":
-        return Measure._of_weights(_weights(self._sites), 0, True)
+        return Measure(_weights(self._sites), periodic=True)
 
     def to_json(self) -> dict:
         return _layout_json(True, 0, "amplitudes",
@@ -229,9 +225,7 @@ class Measure:
     The values must be finite, nonnegative and not all zero, and the
     constructor checks that once, with builtin passes: a NaN anywhere
     makes the sum NaN, and ``min``/``max`` catch a negative or infinite
-    value wherever it sits.  A walk state measures its own site weights
-    through ``_of_weights``, which makes the same decision with fewer
-    checks.
+    value wherever it sits.
     """
 
     __slots__ = ("values", "offset", "periodic")
@@ -239,33 +233,10 @@ class Measure:
     def __init__(self, values, offset: int = 0, periodic: bool = False):
         vals = tuple(list(map(float, values)))
         if not (vals and min(vals) >= 0.0 and max(vals) < math.inf and sum(vals) > 0.0):
-            raise ValueError(_MEASURE_VALUES)
+            raise ValueError("measure values must be finite, nonnegative and not all zero")
         self.values = vals
         self.offset = index(offset)
         self.periodic = bool(periodic)
-
-    @classmethod
-    def _of_weights(cls, weights: list[float], offset: int, periodic: bool) -> "Measure":
-        """The measure of a walk state's site weights, as ``__init__`` decides it.
-
-        Each weight is a sum of float squares, so it is +0.0 or more, +inf
-        or NaN, and never negative.  With ``total = sum(weights)``:
-
-        - a NaN makes ``total`` NaN, which fails ``total > 0.0``;
-        - an inf makes both ``total`` and ``max(weights)`` inf;
-        - finite weights whose sum overflows give an inf ``total`` but a
-          finite ``max``, and pass, as they do in ``__init__``;
-        - all-zero weights sum to 0.0.
-
-        No case depends on rounding, so the decision is the same whether or
-        not ``sum`` is compensated (Python 3.12 on) and equals ``__init__``'s.
-        """
-        total = sum(weights)
-        if not (total > 0.0 and (total < math.inf or max(weights) < math.inf)):
-            raise ValueError(_MEASURE_VALUES)
-        mu = object.__new__(cls)  # the step's weights need no float pass
-        mu.values, mu.offset, mu.periodic = tuple(weights), offset, periodic
-        return mu
 
     @classmethod
     def from_sites(cls, weights: dict[int, float]) -> "Measure":
@@ -351,11 +322,6 @@ def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[dic
     the step count.  Each law is a dict view of one step of the weight
     stream ``_site_weights``: the walk is exactly 0.0 off the parity of
     its first site, and those sites are neither stored nor read.
-
-    No law goes through ``Measure._of_weights``, and no check is lost: the
-    spinor passes ``_check_normalized`` and the coin is a validated
-    unitary, so every weight is finite and the weights sum to 1 within
-    rounding, never to 0.0, NaN or inf.
     """
     return ({x: p for x, p in zip(count(first, 2), weights) if p != 0.0}
             for first, weights in _site_weights(coin, spinor, n_max))
@@ -369,6 +335,8 @@ def distribution(coin: Coin, spinor: AmplitudePair, n: int) -> dict[int, float]:
     ``measure``, with the exactly-zero sites omitted; it equals the n-th
     law of ``distributions`` bit for bit.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     mu = next(islice(_walk(coin, spinor, n), n, None)).measure()
     return {x: p for x, p in zip(mu.sites(), mu.values) if p != 0.0}
 

@@ -184,14 +184,15 @@ MUTANTS = [
      'return cls(*[_json_cast(float, v, "quaternion component") for v in data])',
      'return cls(*(_json_cast(float, v, "quaternion component") for v in data))',
      ["tests/test_quaternion.py::test_from_json_keeps_no_blocks_across_calls", TUPLE_RULE]),
-    ("walk.py",  # Measure._of_weights: finite weights whose sum overflows rejected
-     "if not (total > 0.0 and (total < math.inf or max(weights) < math.inf)):",
-     "if not (total > 0.0 and total < math.inf):",
+    ("walk.py",  # Measure: finite values whose sum overflows rejected
+     "sum(vals) > 0.0",
+     "0.0 < sum(vals) < math.inf",
      ["tests/test_walk.py::test_state_measure_takes_weights_whose_sum_overflows"]),
-    ("walk.py",  # Measure._of_weights: a NaN total let through
-     "if not (total > 0.0 and (total < math.inf",
-     "if not (not total <= 0.0 and (total < math.inf",
-     ["tests/test_walk.py::test_state_measure_rejects_weights_the_constructor_rejects[nan-second]"]),
+    ("walk.py",  # Measure: a NaN sum let through
+     "sum(vals) > 0.0",
+     "not sum(vals) <= 0.0",
+     ["tests/test_walk.py::test_measure_validation",
+      "tests/test_walk.py::test_state_measure_rejects_weights_the_constructor_rejects[nan-second]"]),
     ("walk.py",  # distributions: the laws read on the dead parity
      "zip(count(first, 2), weights)",
      "zip(count(first + 1, 2), weights)",

@@ -252,8 +252,8 @@ def test_distributions_checks_its_arguments_on_the_call(monkeypatch):
 
     monkeypatch.setattr("qqwalk.walk._halves", counting_halves)
     coin = preset_coin("hadamard")
-    for walk in (distributions, distribution):
-        with pytest.raises(ValueError, match="n_max"):
+    for walk, n in ((distributions, "n_max"), (distribution, "n")):
+        with pytest.raises(ValueError, match=f"^{n} must be >= 0$"):
             walk(coin, up_spinor(), -1)
         with pytest.raises(NotNormalizedError):
             walk(coin, (q(1), q(1)), 2)
@@ -264,23 +264,23 @@ def test_laws_build_no_measure_but_the_last(monkeypatch):
     # distributions reads the stored weights of each step; distribution
     # measures its final state once
     calls = []
-    state_measure, of_weights = FiniteSupportState.measure, Measure._of_weights.__func__
+    state_measure, measure_init = FiniteSupportState.measure, Measure.__init__
 
     def counting_measure(state):
         calls.append("measure")
         return state_measure(state)
 
-    def counting_of_weights(cls, weights, offset, periodic):
-        calls.append("_of_weights")
-        return of_weights(cls, weights, offset, periodic)
+    def counting_init(mu, *args, **kwargs):
+        calls.append("Measure")
+        measure_init(mu, *args, **kwargs)
 
     monkeypatch.setattr(FiniteSupportState, "measure", counting_measure)
-    monkeypatch.setattr(Measure, "_of_weights", classmethod(counting_of_weights))
+    monkeypatch.setattr(Measure, "__init__", counting_init)
     coin, spinor = random_unitary_coin(Random(30)), random_unit_pair(Random(31))
     laws = list(distributions(coin, spinor, 30))
     assert calls == [] and len(laws) == 31
     law = distribution(coin, spinor, 30)
-    assert calls == ["measure", "_of_weights"]
+    assert calls == ["measure", "Measure"]
     assert sorted(law) == list(range(-30, 31, 2))
 
 
@@ -303,8 +303,7 @@ def test_distributions_hold_one_law_at_a_time():
 
 
 def test_measure_keeps_no_blocks_across_calls():
-    # every walk step builds a Measure: 500 blocks here when its values
-    # tuple was built from an iterator
+    # 500 blocks here when its values tuple was built from an iterator
     assert blocks_kept(lambda: Measure([0.25, 0.5, 0.25])) < 100
 
 
@@ -436,20 +435,6 @@ def _outcome(build):
     return ("ok", [v.hex() for v in mu.values], mu.offset, mu.periodic)
 
 
-_site_component = st.one_of(
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-308,
-                     1e-200, -1e-200, 1e154, -1e154, 1e200]))
-_weight_sites = st.lists(st.tuples(*[_site_component] * 8), min_size=1, max_size=6)
-
-
-@given(sites=_weight_sites, offset=st.integers(-3, 3), periodic=st.booleans())
-def test_weight_builder_decides_as_the_constructor(sites, offset, periodic):
-    weights = _weights(sites)
-    assert (_outcome(lambda: Measure._of_weights(weights, offset, periodic))
-            == _outcome(lambda: Measure(weights, offset, periodic)))
-
-
 def _states(*amplitudes):
     """A finite and a periodic state, one site per amplitude, in its left w component."""
     pairs = [(q(a), q()) for a in amplitudes]
@@ -462,7 +447,7 @@ def _pair_weights(state) -> list[float]:
 
 
 def _constructor_measure(state) -> Measure:
-    """What ``state.measure()`` built before it trusted its weights."""
+    """The ``Measure`` of the site weights of ``state.pairs``."""
     if isinstance(state, PeriodicState):
         return Measure(_pair_weights(state), periodic=True)
     return Measure(_pair_weights(state), offset=state.offset)
