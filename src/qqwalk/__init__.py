@@ -8,8 +8,10 @@ complex reduction of quaternion initial states under real coins.
 ``import qqwalk`` loads no submodule: each exported name, and each
 submodule name, resolves on first use through the module ``__getattr__``
 (PEP 562), which imports the submodule that defines it.  So a process
-that only walks never loads ``pathsum``, ``stationary`` or ``verify``,
-nor ``dataclasses`` and ``statistics`` with them.  An exported name is
+that only walks never loads ``pathsum``, ``stationary`` or ``verify``.
+Those define their result classes by hand, so no subcommand loads
+``inspect``, and only a ``classify`` that fits an exponential profile
+to a finite measure loads ``statistics``.  An exported name is
 read from its submodule on every access and never stored here, so it is
 always the submodule's current binding.
 """

@@ -65,7 +65,6 @@ and ``Quaternion`` objects only for what they return.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .coin import (
     PRODUCT_RULES,
@@ -93,17 +92,64 @@ class CapExceededError(ValueError):
     """Requested word length above the enumeration cap."""
 
 
-@dataclass(frozen=True)
-class PQWord:
+class _Record:
+    """A result class: fields in ``__slots__`` order, compared and shown by value.
+
+    Equal records are of one class.  A record is mutable and so unhashable;
+    ``copy`` and ``pickle`` rebuild it through its class's ``__init__``,
+    which takes the fields in order.  The result classes here and in
+    ``stationary`` build on it, written by hand rather than generated, so
+    that loading them imports no class generator and no ``inspect``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}"
+                            for name, value in zip(self.__slots__, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(self._values())
+
+
+#: Sets a field of a ``_FrozenRecord`` in its ``__init__``, past its ``__setattr__``.
+_set_field = object.__setattr__
+
+
+class _FrozenRecord(_Record):
+    """A ``_Record`` that hashes by value and refuses assignment and deletion."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(tuple(self._values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PQWord(_FrozenRecord):
     """A word over {P, Q}, run-length encoded as (letter, length) blocks."""
 
-    blocks: tuple[tuple[str, int], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: tuple[tuple[str, int], ...]):
+        if not blocks:
             raise ValueError("word must be nonempty")
         previous = None
-        for letter, length in self.blocks:
+        for letter, length in blocks:
             if letter not in ("P", "Q"):
                 raise ValueError(f"invalid letter {letter!r}")
             if length < 1:
@@ -111,6 +157,7 @@ class PQWord:
             if letter == previous:
                 raise ValueError("adjacent blocks must alternate letters")
             previous = letter
+        _set_field(self, "blocks", blocks)
 
     @classmethod
     def from_letters(cls, letters) -> "PQWord":
@@ -306,15 +353,22 @@ def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     return _unflat(_reconstruct(coin.flat_basis, *sums.values()))
 
 
-@dataclass(frozen=True)
-class PQRSDecomposition:
-    """Left coefficients of a matrix over the split basis {P, Q, R, S}."""
+class PQRSDecomposition(_FrozenRecord):
+    """Left coefficients of a matrix over the split basis {P, Q, R, S}.
 
-    p: Quaternion
-    q: Quaternion
-    r: Quaternion
-    s: Quaternion
-    residual: float  # of the reconstruction, as decompose_pqrs measures it; not part of to_json
+    ``residual`` is that of the reconstruction, as :func:`decompose_pqrs`
+    measures it; it is not part of ``to_json``.
+    """
+
+    __slots__ = ("p", "q", "r", "s", "residual")
+
+    def __init__(self, p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion,
+                 residual: float):
+        _set_field(self, "p", p)
+        _set_field(self, "q", q)
+        _set_field(self, "r", r)
+        _set_field(self, "s", s)
+        _set_field(self, "residual", residual)
 
     def reconstruct(self, coin: Coin) -> QMatrix2:
         return _unflat(_reconstruct(coin.flat_basis, self.p.components(), self.q.components(),

@@ -14,11 +14,9 @@ the same position law for every real coin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from statistics import linear_regression
 
 from .coin import Coin
-from .pathsum import path_sum
+from .pathsum import _FrozenRecord, _Record, _set_field, path_sum
 from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
 from .walk import Measure, PeriodicState, WalkState, _check_normalized
 
@@ -42,18 +40,18 @@ class NotRealCoinError(ValueError):
     """Operation requires a coin with real entries."""
 
 
-@dataclass
-class EigenCandidate:
+class EigenCandidate(_Record):
     """A periodic state proposed as a right eigenvector, with its eigenvalue."""
 
-    state: PeriodicState
-    eigenvalue: Quaternion
+    __slots__ = ("state", "eigenvalue")
 
-    def __post_init__(self):
+    def __init__(self, state: PeriodicState, eigenvalue: Quaternion):
         # unitarity of the evolution forces |lambda| = 1
-        if not self.eigenvalue.is_unit():
+        if not eigenvalue.is_unit():
             # named as given: the modulus of a tiny eigenvalue underflows to 0.0
-            raise ValueError(f"eigenvalue must be unimodular, got {self.eigenvalue}")
+            raise ValueError(f"eigenvalue must be unimodular, got {eigenvalue}")
+        self.state = state
+        self.eigenvalue = eigenvalue
 
 
 def _report(check: str, passed: bool, residual: float, **params) -> dict:
@@ -152,16 +150,18 @@ def verify_stationary(coin: Coin, state: WalkState, n_max: int,
     return stationary_residual(coin, state, n_max) <= tol
 
 
-@dataclass(frozen=True)
-class TwoStepUniformityReport:
+class TwoStepUniformityReport(_FrozenRecord):
     """Outcome of the b=0 check [measure invariant for 2 steps] => [uniform].
 
     ``spread`` is max - min of the state's site measure; both sides of the
     implication are judged at ``DEFAULT_TOL``.
     """
 
-    measure_invariant: bool
-    spread: float
+    __slots__ = ("measure_invariant", "spread")
+
+    def __init__(self, measure_invariant: bool, spread: float):
+        _set_field(self, "measure_invariant", measure_invariant)
+        _set_field(self, "spread", spread)
 
     @property
     def measure_uniform(self) -> bool:
@@ -190,8 +190,7 @@ def check_two_step_uniformity(coin: Coin, state: PeriodicState) -> TwoStepUnifor
                                    spread=max(values) - min(values))
 
 
-@dataclass
-class MeasureClass:
+class MeasureClass(_Record):
     """Classification tag for a measure.
 
     ``kind`` is "uniform", "exponential", or "other"; symmetry under
@@ -199,13 +198,18 @@ class MeasureClass:
     for the kind they belong to and left None otherwise.
     """
 
-    kind: str
-    symmetric: bool
-    uniform_value: float | None = None
-    gamma: float | None = None
-    c_plus: float | None = None
-    c_zero: float | None = None
-    c_minus: float | None = None
+    __slots__ = ("kind", "symmetric", "uniform_value", "gamma", "c_plus", "c_zero", "c_minus")
+
+    def __init__(self, kind: str, symmetric: bool, uniform_value: float | None = None,
+                 gamma: float | None = None, c_plus: float | None = None,
+                 c_zero: float | None = None, c_minus: float | None = None):
+        self.kind = kind
+        self.symmetric = symmetric
+        self.uniform_value = uniform_value
+        self.gamma = gamma
+        self.c_plus = c_plus
+        self.c_zero = c_zero
+        self.c_minus = c_minus
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "symmetric": self.symmetric}
@@ -230,6 +234,8 @@ def _fit_exponential_side(mu: Measure, window: int, sign: int):
         ys.append(math.log(v))
     if len(xs) < 3:
         return None
+    from statistics import linear_regression  # only a fit needs it, and no verify run fits
+
     slope, intercept = linear_regression(xs, ys)
     residual = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
     if residual > EXP_FIT_TOL or abs(slope) * (xs[-1] - xs[0]) <= EXP_FIT_TOL:
@@ -303,8 +309,7 @@ def _axis_of(q: Quaternion) -> tuple[float, tuple[float, float, float]]:
     return theta, (q.x / im_norm, q.y / im_norm, q.z / im_norm)
 
 
-@dataclass(frozen=True)
-class PolarInitialState:
+class PolarInitialState(_FrozenRecord):
     """Polar form of a unit spinor (alpha, beta).
 
     ``alpha = (cos theta_a + n_a . (i,j,k) sin theta_a) cos xi`` and
@@ -312,11 +317,15 @@ class PolarInitialState:
     3-vectors n_a, n_b, ``xi in [0, pi/2]``.
     """
 
-    theta_alpha: float
-    theta_beta: float
-    xi: float
-    axis_alpha: tuple[float, float, float]
-    axis_beta: tuple[float, float, float]
+    __slots__ = ("theta_alpha", "theta_beta", "xi", "axis_alpha", "axis_beta")
+
+    def __init__(self, theta_alpha: float, theta_beta: float, xi: float,
+                 axis_alpha: tuple[float, float, float], axis_beta: tuple[float, float, float]):
+        _set_field(self, "theta_alpha", theta_alpha)
+        _set_field(self, "theta_beta", theta_beta)
+        _set_field(self, "xi", xi)
+        _set_field(self, "axis_alpha", axis_alpha)
+        _set_field(self, "axis_beta", axis_beta)
 
     @classmethod
     def from_pair(cls, alpha: Quaternion, beta: Quaternion) -> "PolarInitialState":

@@ -265,9 +265,11 @@ class Measure:
         """Largest absolute sitewise difference, over both windows or one period."""
         if self.periodic != other.periodic:
             raise ValueError("cannot compare periodic and finite measures")
-        if self.periodic and len(self.values) != len(other.values):
-            raise ValueError("periodic measures have different periods")
-        sites = self.sites() if self.periodic else {*self.sites(), *other.sites()}
+        if self.periodic:
+            if len(self.values) != len(other.values):
+                raise ValueError("periodic measures have different periods")
+            return max_or_nan([abs(a - b) for a, b in zip(self.values, other.values)])
+        sites = {*self.sites(), *other.sites()}
         return max_or_nan([abs(self.value(x) - other.value(x)) for x in sites])
 
     def approx_eq(self, other: "Measure", tol: float = DEFAULT_TOL) -> bool:

@@ -121,6 +121,14 @@ MUTANTS = [
      "from .walk import PeriodicState",
      "from .verify import run_suites\nfrom .walk import PeriodicState",
      ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[dist]"]),
+    ("pathsum.py",  # a generated result class again, so xi loads dataclasses and inspect
+     "import math\n",
+     "import math\nfrom dataclasses import dataclass\n",
+     ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[xi-brute]"]),
+    ("stationary.py",  # the fit's statistics import hoisted, so every verify process loads it
+     "import math\n",
+     "import math\nfrom statistics import linear_regression\n",
+     ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[verify]"]),
     ("__init__.py",  # the package imports a submodule eagerly again
      '__version__ = "0.1.0"',
      'from . import stationary\n\n__version__ = "0.1.0"',
@@ -207,7 +215,7 @@ MUTANTS = [
      "columns = ([state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks)",
      ["tests/test_pathsum.py::test_path_sums_keep_no_blocks_across_calls", TUPLE_RULE]),
     ("walk.py",  # Measure.max_dev: the other window's sites never read
-     "sites = self.sites() if self.periodic else {*self.sites(), *other.sites()}",
+     "sites = {*self.sites(), *other.sites()}",
      "sites = self.sites()",
      ["tests/test_walk.py::test_max_dev_equals_the_scan_from_the_lower_start_to_the_higher_end[disjoint]"]),
     ("walk.py",  # FiniteSupportState and Measure: a float or str offset truncated by int()

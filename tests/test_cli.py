@@ -776,15 +776,22 @@ CHILD_MODULES = [sys.executable, "-c", "import sys; from qqwalk.cli import main;
                                        "print(*sys.modules, file=sys.stderr); sys.exit(code)"]
 
 
+#: Standard modules that no subcommand needs: only a fitted ``classify`` loads ``statistics``.
+UNUSED_STDLIB = ["dataclasses", "inspect", "statistics"]
+
+
 @pytest.mark.parametrize("argv, loaded, absent", [
     (["dist", "--coin", "hadamard", "--init", "1,0", "--steps", "3"], [],
-     ["qqwalk.pathsum", "qqwalk.stationary", "qqwalk.verify", "dataclasses", "statistics"]),
+     ["qqwalk.pathsum", "qqwalk.stationary", "qqwalk.verify", *UNUSED_STDLIB]),
     (["xi", "--coin", "hadamard", "-n", "4", "-l", "2", "-m", "2", "--mode", "brute"],
-     ["qqwalk.pathsum"], ["qqwalk.stationary", "qqwalk.verify", "statistics"]),
+     ["qqwalk.pathsum"], ["qqwalk.stationary", "qqwalk.verify", *UNUSED_STDLIB]),
     (["eigen-check", "--coin", "flip", "--eigenvalue", "1",
       "--state", '{"kind":"periodic","amplitudes":[[[1,0,0,0],[1,0,0,0]]]}'],
-     ["qqwalk.stationary"], ["qqwalk.verify"]),
-], ids=["dist", "xi-brute", "eigen-check"])
+     ["qqwalk.stationary"], ["qqwalk.verify", *UNUSED_STDLIB]),
+    (["verify", "--suite", "all", "--seed", "0"], ["qqwalk.verify"], UNUSED_STDLIB),
+    (["classify", "--measure", '{"kind":"periodic","values":[1,2]}'], ["qqwalk.stationary"],
+     ["qqwalk.verify", *UNUSED_STDLIB]),
+], ids=["dist", "xi-brute", "eigen-check", "verify", "classify-periodic"])
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, absent):
     proc = subprocess.run([*CHILD_MODULES, *argv], capture_output=True, text=True,
                           timeout=60, env=CHILD_ENV)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
 import inspect
 from pathlib import Path
@@ -78,3 +79,56 @@ def test_no_tuple_is_built_from_an_iterator():
             found += [f"{path.name}:{node.lineno} * of an iterator" for arg in node.args
                       if isinstance(arg, ast.Starred) and _iterator(arg.value, generators)]
     assert not found, found
+
+
+
+_STATE = qqwalk.PeriodicState([(qqwalk.ONE, qqwalk.ONE)])
+
+# each result class, its fields in order, one field changed, and whether it is frozen
+RECORDS = [
+    ("PQWord", {"blocks": (("P", 2), ("Q", 1))}, {"blocks": (("P", 3),)}, True),
+    ("PQRSDecomposition", {"p": qqwalk.ONE, "q": qqwalk.I, "r": qqwalk.J, "s": qqwalk.K,
+                           "residual": 0.0}, {"residual": 1e-16}, True),
+    ("EigenCandidate", {"state": _STATE, "eigenvalue": qqwalk.ONE}, {"eigenvalue": qqwalk.K},
+     False),
+    ("TwoStepUniformityReport", {"measure_invariant": True, "spread": 0.0},
+     {"measure_invariant": False}, True),
+    ("MeasureClass", {"kind": "exponential", "symmetric": True, "uniform_value": None,
+                      "gamma": 0.5, "c_plus": 1.0, "c_zero": 2.0, "c_minus": 1.0},
+     {"c_minus": 1.5}, False),
+    ("PolarInitialState", {"theta_alpha": 0.5, "theta_beta": 1.0, "xi": 0.25,
+                           "axis_alpha": (0.0, 0.0, 1.0), "axis_beta": (1.0, 0.0, 0.0)},
+     {"axis_beta": (0.0, 1.0, 0.0)}, True),
+]
+
+
+@pytest.mark.parametrize("name, fields, changed, frozen", RECORDS,
+                         ids=[row[0] for row in RECORDS])
+def test_result_classes_compare_by_value(name, fields, changed, frozen):
+    cls = getattr(qqwalk, name)
+    record = cls(*fields.values())
+    assert [getattr(record, field) for field in fields] == list(fields.values())
+    assert record == cls(**fields) and not record != cls(**fields)
+    assert record != cls(**{**fields, **changed})
+    assert record != tuple(fields.values())
+    assert copy.copy(record) == record
+    assert repr(record) == f"{name}({', '.join([f'{k}={v!r}' for k, v in fields.items()])})"
+    first = next(iter(fields))
+    if frozen:
+        assert hash(record) == hash(cls(**fields))
+        with pytest.raises(AttributeError):
+            setattr(record, first, fields[first])
+        with pytest.raises(AttributeError):
+            delattr(record, first)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+        setattr(record, first, fields[first])
+        assert record == cls(**fields)
+
+
+def test_measure_class_fills_the_parameters_of_its_kind_only():
+    tag = qqwalk.MeasureClass("uniform", False, 0.5)
+    assert tag == qqwalk.MeasureClass(kind="uniform", symmetric=False, uniform_value=0.5)
+    assert [tag.gamma, tag.c_plus, tag.c_zero, tag.c_minus] == [None] * 4
+    assert tag.to_json() == {"kind": "uniform", "symmetric": False, "c": 0.5}
