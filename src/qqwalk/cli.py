@@ -93,7 +93,8 @@ def _cmd_dist(args) -> int:
     if output == "csv":
         print("n,x,probability")
         for n, dist in enumerate(series):
-            print("\n".join([f"{n},{x},{p!r}" for x, p in dist.items()]))
+            head = f"{n},"
+            print("\n".join([f"{head}{x},{p!r}" for x, p in dist.items()]))
     else:
         print("[", end="")
         for n, dist in enumerate(series):

@@ -11,18 +11,26 @@ One step sends ``psiL'(x) = a psiL(x+1) + b psiR(x+1)`` and
 the left.  Each site is stored as one flat tuple ``(Lw, Lx, Ly, Lz, Rw,
 Rx, Ry, Rz)``.  The public constructors check their ``(Quaternion,
 Quaternion)`` pairs once, ``evolve`` trusts the step's output, and only
-``amplitude``, ``pairs`` and ``to_json`` build quaternions.  ``_halves``
-reads the coin's stored flat matrix ``coin.flat`` and spells the Hamilton
-products out in the operation order of ``Quaternion.__mul__`` then
-``__add__``, so every component has the bits of the scalar reference
+``amplitude``, ``pairs`` and ``to_json`` build quaternions.  Each state
+keeps its site weights ``|psiL|^2 + |psiR|^2`` beside its sites.
+
+One kernel, ``_chain``, makes every step.  It steps a chain of sites two
+apart, building each new site and its weight in one loop.  It reads the
+coin's stored flat matrix ``coin.flat`` and spells the Hamilton products
+out in the operation order of ``Quaternion.__mul__`` then ``__add__``, so
+every component has the bits of the scalar reference
 ``coin.matrix.apply(pair)``.  Every ``Measure``, a state's own included,
 is built by ``Measure.__init__`` and gets all of its checks.
 
 A step reads only sites ``x - 1`` and ``x + 1``, so a walk started from a
 point is zero where ``x != t (mod 2)``.  A finite state stores its sites at
 ``offset + stride * j``: stride 2 for one site and every walk from it, 1 for
-a caller's window of two or more.  The sites between read as zeros, a step's
-ends add the +0.0 ``_ZERO_HALF``, and a caller's zero pair is computed with.
+a caller's window of two or more.  A stride-2 state is one chain, and a
+stride-1 window its even and odd chains, stepped apart and interleaved.
+The sites between read as zeros, a chain's ends add +0.0 halves, and a
+caller's zero pair is computed with.  A periodic state is closed chains:
+one through every site for an odd period, the evens and the odds for an
+even one; ``_closed`` folds each chain's overflow site onto its first.
 
 A walk from the origin reports itself through one stream, ``_site_weights``:
 for each step, its first stored site and the weights of its stored sites,
@@ -36,7 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from itertools import accumulate, count, islice
-from operator import add, index
+from operator import index
 
 from .coin import Coin
 from .quaternion import DEFAULT_TOL, Quaternion, _json_cast, max_or_nan
@@ -46,7 +54,6 @@ NORM_TOL = 1e-9
 
 AmplitudePair = tuple[Quaternion, Quaternion]
 
-_ZERO_HALF = (0.0, 0.0, 0.0, 0.0)
 _ZERO_PAIR: AmplitudePair = (Quaternion(), Quaternion())
 
 
@@ -70,22 +77,54 @@ def _pair(site) -> AmplitudePair:
     return (Quaternion(*site[:4]), Quaternion(*site[4:]))
 
 
-def _halves(coin: Coin, sites) -> tuple[list, list]:
-    """``(ups, downs)``: ``a psiL + b psiR`` and ``c psiL + d psiR`` of each site."""
+def _chain(coin: Coin, chain) -> tuple[list, list]:
+    """One step of a chain of sites two apart: ``(sites, weights)``, one site longer.
+
+    New site j joins ``a psiL + b psiR`` of ``chain[j]`` to ``c psiL + d psiR``
+    of ``chain[j - 1]``; past either end the missing half is +0.0.  Each
+    weight is summed as ``_weights`` sums it, as its site is built.
+    """
     aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = coin.flat
-    ups, downs = [], []
+    sites, weights = [], []
+    pw = px = py = pz = pv = 0.0  # the lower half from the site before, and its weight
     # a loop, not comprehensions: on Python 3.10 and 3.11 a comprehension is a
     # nested function, which would read the 16 coin floats from closure cells
-    for lw, lx, ly, lz, rw, rx, ry, rz in sites:
-        ups.append(((aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),
-                    (aw * lx + ax * lw + ay * lz - az * ly) + (bw * rx + bx * rw + by * rz - bz * ry),
-                    (aw * ly - ax * lz + ay * lw + az * lx) + (bw * ry - bx * rz + by * rw + bz * rx),
-                    (aw * lz + ax * ly - ay * lx + az * lw) + (bw * rz + bx * ry - by * rx + bz * rw)))
-        downs.append(((cw * lw - cx * lx - cy * ly - cz * lz) + (dw * rw - dx * rx - dy * ry - dz * rz),
-                      (cw * lx + cx * lw + cy * lz - cz * ly) + (dw * rx + dx * rw + dy * rz - dz * ry),
-                      (cw * ly - cx * lz + cy * lw + cz * lx) + (dw * ry - dx * rz + dy * rw + dz * rx),
-                      (cw * lz + cx * ly - cy * lx + cz * lw) + (dw * rz + dx * ry - dy * rx + dz * rw)))
-    return ups, downs
+    for lw, lx, ly, lz, rw, rx, ry, rz in chain:
+        uw = (aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz)
+        ux = (aw * lx + ax * lw + ay * lz - az * ly) + (bw * rx + bx * rw + by * rz - bz * ry)
+        uy = (aw * ly - ax * lz + ay * lw + az * lx) + (bw * ry - bx * rz + by * rw + bz * rx)
+        uz = (aw * lz + ax * ly - ay * lx + az * lw) + (bw * rz + bx * ry - by * rx + bz * rw)
+        sites.append((uw, ux, uy, uz, pw, px, py, pz))
+        weights.append((uw * uw + ux * ux + uy * uy + uz * uz) + pv)
+        pw = (cw * lw - cx * lx - cy * ly - cz * lz) + (dw * rw - dx * rx - dy * ry - dz * rz)
+        px = (cw * lx + cx * lw + cy * lz - cz * ly) + (dw * rx + dx * rw + dy * rz - dz * ry)
+        py = (cw * ly - cx * lz + cy * lw + cz * lx) + (dw * ry - dx * rz + dy * rw + dz * rx)
+        pz = (cw * lz + cx * ly - cy * lx + cz * lw) + (dw * rz + dx * ry - dy * rx + dz * rw)
+        pv = pw * pw + px * px + py * py + pz * pz
+    sites.append((0.0, 0.0, 0.0, 0.0, pw, px, py, pz))
+    weights.append(pv)  # 0.0 + pv is pv: a sum of squares is never -0.0
+    return sites, weights
+
+
+def _closed(coin: Coin, chain) -> tuple[list, list]:
+    """``_chain`` of a cycle: the overflow site folds onto the first site.
+
+    The first site has only its upper half and the overflow site only its
+    lower half, so the joined site and the summed weight are bit for bit
+    what one site with both halves would get.
+    """
+    sites, weights = _chain(coin, chain)
+    sites[0] = sites[0][:4] + sites.pop()[4:]
+    weights[0] += weights.pop()
+    return sites, weights
+
+
+def _merge(evens: tuple[list, list], odds: tuple[list, list]) -> tuple[list, list]:
+    """Two stepped chains ``(sites, weights)`` interleaved, ``evens`` first."""
+    sites, weights = evens[0] + odds[0], evens[1] + odds[1]
+    sites[::2], sites[1::2] = evens[0], odds[0]
+    weights[::2], weights[1::2] = evens[1], odds[1]
+    return sites, weights
 
 
 def _weights(sites) -> list[float]:
@@ -120,11 +159,12 @@ def _read_layout(data, what: str, key: str) -> tuple[bool, int, list]:
 class FiniteSupportState:
     """Amplitudes at ``offset + stride * j`` of a finite window; zero elsewhere."""
 
-    __slots__ = ("offset", "stride", "_sites")
+    __slots__ = ("offset", "stride", "_sites", "_weights")
 
     def __init__(self, offset: int, pairs):
         self.offset = index(offset)
         self._sites = _flatten(pairs)
+        self._weights = _weights(self._sites)
         self.stride = 2 if len(self._sites) == 1 else 1
 
     @classmethod
@@ -143,20 +183,22 @@ class FiniteSupportState:
 
     def evolve(self, coin: Coin) -> "FiniteSupportState":
         """One time step; the window grows by one site on each end."""
-        ups, downs = _halves(coin, self._sites)
-        pad = [_ZERO_HALF] * (2 // self.stride)
+        s = self._sites
         state = object.__new__(FiniteSupportState)  # the step's output needs no check
         state.offset, state.stride = self.offset - 1, self.stride
-        state._sites = list(map(add, ups + pad, pad + downs))
+        if self.stride == 2:  # one chain: the sites between stay zero
+            state._sites, state._weights = _chain(coin, s)
+        else:  # a dense window is two chains, one on each parity
+            state._sites, state._weights = _merge(_chain(coin, s[::2]), _chain(coin, s[1::2]))
         return state
 
     def measure(self) -> "Measure":
         weights = [0.0] * len(self.sites())  # a site between two stored ones weighs 0.0
-        weights[::self.stride] = _weights(self._sites)
+        weights[::self.stride] = self._weights
         return Measure(weights, self.offset)
 
     def norm_sq(self) -> float:
-        return sum(_weights(self._sites))
+        return sum(self._weights)
 
     def to_json(self) -> dict:
         return _layout_json(False, self.offset, "amplitudes",
@@ -169,10 +211,11 @@ class FiniteSupportState:
 class PeriodicState:
     """One period of a state with ``psi(x) = pairs[x mod period]``."""
 
-    __slots__ = ("_sites",)
+    __slots__ = ("_sites", "_weights")
 
     def __init__(self, pairs):
         self._sites = _flatten(pairs)
+        self._weights = _weights(self._sites)
 
     @classmethod
     def constant(cls, spinor: AmplitudePair) -> "PeriodicState":
@@ -190,13 +233,23 @@ class PeriodicState:
 
     def evolve(self, coin: Coin) -> "PeriodicState":
         """One time step; shift-equivariance keeps the period fixed."""
-        ups, downs = _halves(coin, self._sites)
+        s = self._sites
         state = object.__new__(PeriodicState)  # the step's output needs no check
-        state._sites = list(map(add, ups[1:] + ups[:1], downs[-1:] + downs[:-1]))
+        if len(s) % 2:
+            # sites 1, 3, ..., 0, 2, ... are one cycle two apart; they step
+            # onto the new sites 0, 2, ..., 1, 3, ..., in that order
+            sites, weights = _closed(coin, s[1::2] + s[::2])
+            half = (len(s) + 1) // 2
+            sites[::2], sites[1::2] = sites[:half], sites[half:]
+            weights[::2], weights[1::2] = weights[:half], weights[half:]
+            state._sites, state._weights = sites, weights
+        else:  # the odd sites step onto the even ones, and the even ones onto the odd
+            state._sites, state._weights = _merge(_closed(coin, s[1::2]),
+                                                  _closed(coin, s[2::2] + s[:1]))
         return state
 
     def measure(self) -> "Measure":
-        return Measure(_weights(self._sites), periodic=True)
+        return Measure(self._weights, periodic=True)
 
     def to_json(self) -> dict:
         return _layout_json(True, 0, "amplitudes",
@@ -308,11 +361,12 @@ def _site_weights(coin: Coin, spinor: AmplitudePair,
                   n_max: int) -> Iterator[tuple[int, list[float]]]:
     """``(first site, weights)`` for times 0..n_max of the walk from the origin.
 
-    The weights are those of the stored sites ``first, first + 2, ...``,
-    read off each state as it is stepped: no ``Measure``, no zero fill and
-    no dict.  The arguments are checked on the call.
+    The weights are those of the stored sites ``first, first + 2, ...``:
+    each state's own list, which the step built with its sites, so a
+    caller only reads it.  No ``Measure``, no zero fill and no dict.  The
+    arguments are checked on the call.
     """
-    return ((state.offset, _weights(state._sites)) for state in _walk(coin, spinor, n_max))
+    return ((state.offset, state._weights) for state in _walk(coin, spinor, n_max))
 
 
 def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[dict[int, float]]:

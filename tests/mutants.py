@@ -46,13 +46,21 @@ TUPLE_RULE = "tests/test_package.py::test_no_tuple_is_built_from_an_iterator"
 
 # (file under src/qqwalk, exact old text, new text, test node ids that must fail)
 MUTANTS = [
-    ("walk.py",  # _halves: the coin row's second product joins the first one's sum
-     "ups.append(((aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz),",
-     "ups.append((aw * lw - ax * lx - ay * ly - az * lz + bw * rw - bx * rx - by * ry - bz * rz,",
+    ("walk.py",  # _chain: the coin row's second product joins the first one's sum
+     "uw = (aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz)",
+     "uw = aw * lw - ax * lx - ay * ly - az * lz + bw * rw - bx * rx - by * ry - bz * rz",
      ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
-    ("walk.py",  # FiniteSupportState.evolve: a dense window padded one half too short
-     "pad = [_ZERO_HALF] * (2 // self.stride)",
-     "pad = [_ZERO_HALF] * 1",
+    ("walk.py",  # _chain: a chain's far end padded with a -0.0 half
+     "sites.append((0.0, 0.0, 0.0, 0.0, pw, px, py, pz))",
+     "sites.append((-0.0, 0.0, 0.0, 0.0, pw, px, py, pz))",
+     ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
+    ("walk.py",  # _closed: a closed chain's first site keeps only its upper half's weight
+     "weights[0] += weights.pop()",
+     "weights.pop()",
+     ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
+    ("walk.py",  # FiniteSupportState.evolve: a dense window's even and odd chains swapped
+     "_merge(_chain(coin, s[::2]), _chain(coin, s[1::2]))",
+     "_merge(_chain(coin, s[1::2]), _chain(coin, s[::2]))",
      ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
     ("walk.py",  # FiniteSupportState: a one-site state stored dense, its dead sites computed
      "self.stride = 2 if len(self._sites) == 1 else 1",
@@ -138,8 +146,8 @@ MUTANTS = [
      "except (ValueError, KeyError, OSError) as exc:",
      ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
     ("cli.py",  # dist: an Infinity in a CSV row
-     'f"{n},{x},{p!r}"',
-     'f"{n},{x},{p if p < 1.0 else math.inf!r}"',
+     'f"{head}{x},{p!r}"',
+     'f"{head}{x},{p if p < 1.0 else math.inf!r}"',
      ["tests/test_cli_fuzz.py::test_cli_contract_holds_for_drawn_argv"]),
     ("cli.py",  # dist: a NaN in a JSON row
      'row = json.dumps({"n": n, "dist": {str(x): p for x, p in dist.items()}})',
@@ -219,8 +227,8 @@ MUTANTS = [
      "sites = self.sites()",
      ["tests/test_walk.py::test_max_dev_equals_the_scan_from_the_lower_start_to_the_higher_end[disjoint]"]),
     ("walk.py",  # FiniteSupportState and Measure: a float or str offset truncated by int()
-     "from operator import add, index",
-     "from operator import add\nindex = int",
+     "from operator import index",
+     "index = int",
      ["tests/test_walk.py::test_offsets_are_integers[float-0.5]"]),
 ]
 

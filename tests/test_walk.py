@@ -29,7 +29,7 @@ from qqwalk import (
 )
 from qqwalk.coin import PRESET_NAMES
 from qqwalk.quaternion import max_or_nan
-from qqwalk.walk import _halves, _weights
+from qqwalk.walk import _chain, _weights
 
 from conftest import (
     SQRT_HALF,
@@ -246,11 +246,11 @@ def test_distributions_checks_its_arguments_on_the_call(monkeypatch):
     # the first step, and a negative n must not read as the t = 0 law
     steps = []
 
-    def counting_halves(coin, sites):
-        steps.append(len(sites))
-        return _halves(coin, sites)
+    def counting_chain(coin, chain):
+        steps.append(len(chain))
+        return _chain(coin, chain)
 
-    monkeypatch.setattr("qqwalk.walk._halves", counting_halves)
+    monkeypatch.setattr("qqwalk.walk._chain", counting_chain)
     coin = preset_coin("hadamard")
     for walk, n in ((distributions, "n_max"), (distribution, "n")):
         with pytest.raises(ValueError, match=f"^{n} must be >= 0$"):
@@ -607,6 +607,12 @@ def _assert_bits(state, reference: dict) -> None:
                 == [v.hex() for amp in want for v in amp.components()]), x
 
 
+def _assert_measure_bits(state) -> None:
+    """The state's stored weights against a measure rebuilt from its pairs."""
+    assert ([v.hex() for v in state.measure().values]
+            == [v.hex() for v in _constructor_measure(state).values])
+
+
 @pytest.mark.parametrize("entries", ["real", "complex", "quaternion"])
 def test_flat_walk_is_bit_identical_to_the_scalar_walk(entries):
     rng = Random(60)
@@ -614,20 +620,27 @@ def test_flat_walk_is_bit_identical_to_the_scalar_walk(entries):
     spinor = random_unit_pair(rng)
     finite = FiniteSupportState.delta(spinor)
     reference = {0: spinor}
-    pairs = [random_unit_pair(rng) for _ in range(4)] + [(q(), q(0.0, -0.0))]
-    periodic = PeriodicState(pairs)
-    period = len(pairs)
+    # periods of both parities, which step as one closed chain or as two;
+    # the period-5 block holds a zero pair and a -0.0 one
+    blocks = [[random_unit_pair(rng) for _ in range(4)] + [(q(), q(0.0, -0.0))]]
+    other = Random(61)
+    blocks += [[random_unit_pair(other) for _ in range(period)] for period in (1, 2, 6)]
+    periodics = [PeriodicState(pairs) for pairs in blocks]
     for t in range(1, 41):
         finite = finite.evolve(coin)
         assert finite.sites() == range(-t, t + 1)
         reference = _scalar_step(coin, reference, finite.sites())
         _assert_bits(finite, reference)
+        _assert_measure_bits(finite)
 
-        periodic = periodic.evolve(coin)
-        wrapped = {x: pairs[x % period] for x in range(-1, period + 1)}
-        stepped = _scalar_step(coin, wrapped, range(period))
-        pairs = [stepped[x] for x in range(period)]
-        _assert_bits(periodic, dict(enumerate(pairs)))
+        for i, pairs in enumerate(blocks):
+            periodics[i] = periodics[i].evolve(coin)
+            period = len(pairs)
+            wrapped = {x: pairs[x % period] for x in range(-1, period + 1)}
+            stepped = _scalar_step(coin, wrapped, range(period))
+            blocks[i] = [stepped[x] for x in range(period)]
+            _assert_bits(periodics[i], dict(enumerate(blocks[i])))
+            _assert_measure_bits(periodics[i])
 
     # dense caller windows at a nonzero offset, with a zero pair and a -0.0 one
     for n in range(2, 6):
@@ -642,6 +655,7 @@ def test_flat_walk_is_bit_identical_to_the_scalar_walk(entries):
             assert finite.sites() == range(offset - t, offset + n + t)
             reference = _scalar_step(coin, reference, finite.sites())
             _assert_bits(finite, reference)
+            _assert_measure_bits(finite)
 
 
 _component = st.floats(min_value=-2.0, max_value=2.0)
@@ -656,21 +670,25 @@ _amplitude = st.one_of(
        pairs=st.lists(st.tuples(_amplitude, _amplitude), min_size=1, max_size=6))
 def test_coin_rows_are_bit_identical_to_the_scalar_product(seed, entries, pairs):
     coin = random_unitary_coin(Random(seed), entries)
-    ups, downs = _halves(coin, [left.components() + right.components() for left, right in pairs])
-    assert len(ups) == len(downs) == len(pairs)
-    for pair, up, down in zip(pairs, ups, downs):
-        top, bottom = coin.matrix.apply(pair)
-        assert [v.hex() for v in up + down] == [v.hex() for v in top.components() + bottom.components()]
+    sites, weights = _chain(coin, [left.components() + right.components() for left, right in pairs])
+    assert len(sites) == len(weights) == len(pairs) + 1
+    zero = (0.0, 0.0, 0.0, 0.0)
+    for j, (site, weight) in enumerate(zip(sites, weights)):
+        # the upper half from the site j of the chain, the lower one from j - 1
+        top = coin.matrix.apply(pairs[j])[0].components() if j < len(pairs) else zero
+        bottom = coin.matrix.apply(pairs[j - 1])[1].components() if j else zero
+        assert [v.hex() for v in site] == [v.hex() for v in top + bottom], j
+        assert weight.hex() == _weights([site])[0].hex(), j
 
 
 def test_point_started_walks_step_only_their_live_sites(monkeypatch):
     handed = []
 
-    def counting_halves(coin, sites):
-        handed.append(len(sites))
-        return _halves(coin, sites)
+    def counting_chain(coin, chain):
+        handed.append(len(chain))
+        return _chain(coin, chain)
 
-    monkeypatch.setattr("qqwalk.walk._halves", counting_halves)
+    monkeypatch.setattr("qqwalk.walk._chain", counting_chain)
     law = list(distributions(preset_coin("hadamard"), up_spinor(), 30))
     assert handed == [t + 1 for t in range(30)]  # the live parity of the 2t + 1 window
     assert sorted(law[30]) == list(range(-30, 31, 2))
