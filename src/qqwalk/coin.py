@@ -59,6 +59,7 @@ def _unflat(flat) -> "QMatrix2":
 
 _FLAT_IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                   0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+_FLAT_IDENTITY_TWICE = _FLAT_IDENTITY + _FLAT_IDENTITY  # what M M* then M* M should be
 
 
 def _split(flat) -> dict[str, tuple]:
@@ -120,10 +121,14 @@ def _max_dev(m, n) -> float:
 
 
 def _unitarity_residual(m) -> float:
-    """``QMatrix2.unitarity_residual`` of a flat matrix."""
+    """``QMatrix2.unitarity_residual`` of a flat matrix.
+
+    One ``max_or_nan`` over the 32 deviations of M M* and M* M from I
+    equals one over the two products' ``_max_dev``, as in ``_max_dev``.
+    """
     adj = _adjoint(m)
-    return max_or_nan((_max_dev(_matmul(m, adj), _FLAT_IDENTITY),
-                       _max_dev(_matmul(adj, m), _FLAT_IDENTITY)))
+    return max_or_nan([abs(x - y) for x, y in zip(_matmul(m, adj) + _matmul(adj, m),
+                                                  _FLAT_IDENTITY_TWICE)])
 
 
 class QMatrix2:

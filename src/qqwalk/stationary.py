@@ -14,6 +14,7 @@ the same position law for every real coin.
 from __future__ import annotations
 
 import math
+from operator import sub
 
 from .coin import Coin
 from .pathsum import _FrozenRecord, _Record, _set_field, path_sum
@@ -133,14 +134,34 @@ def build_eigenstate_flipneg(eigenvalue: Quaternion, coeffs) -> EigenCandidate:
 
 
 def stationary_residual(coin: Coin, state: WalkState, n_max: int) -> float:
-    """Worst sitewise measure deviation from ``state`` over steps 1..n_max, or NaN."""
+    """Worst sitewise measure deviation from ``state`` over steps 1..n_max, or NaN.
+
+    The start state's ``Measure`` is built, and checked, once.  A periodic
+    state's steps are read through the weights each step stores with its
+    sites, and one ``max_or_nan`` takes every step's deviations from the
+    start's values.  That has the bits of a ``max_or_nan`` over the per-step
+    ``Measure.max_dev``: both are the largest deviation, and NaN exactly
+    when one deviation is.  A step whose weight sum is not finite and
+    positive is measured, so weights the ``Measure`` constructor rejects
+    still raise its ValueError.  A finite state's window grows, so each of
+    its steps is measured and aligned with the start by ``Measure.max_dev``.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     reference = state.measure()
     deviations = []
+    if not reference.periodic:
+        for _ in range(n_max):
+            state = state.evolve(coin)
+            deviations.append(state.measure().max_dev(reference))
+        return max_or_nan(deviations)
+    values = reference.values
     for _ in range(n_max):
         state = state.evolve(coin)
-        deviations.append(state.measure().max_dev(reference))
+        weights = state._weights
+        if not 0.0 < sum(weights) < math.inf:  # NaN, infinite or all zero: the constructor decides
+            Measure(weights, periodic=True)
+        deviations.extend(map(abs, map(sub, weights, values)))
     return max_or_nan(deviations)
 
 
@@ -185,8 +206,10 @@ def check_two_step_uniformity(coin: Coin, state: PeriodicState) -> TwoStepUnifor
     """
     if coin.case() != "b=0":
         raise WrongCoinClassError("two-step uniformity check needs a b=0 coin")
-    values = state.measure().values
-    return TwoStepUniformityReport(measure_invariant=verify_stationary(coin, state, 2),
+    # the residual builds and checks the state's one Measure, whose values are its weights
+    invariant = verify_stationary(coin, state, 2)
+    values = state._weights if isinstance(state, PeriodicState) else state.measure().values
+    return TwoStepUniformityReport(measure_invariant=invariant,
                                    spread=max(values) - min(values))
 
 

@@ -30,13 +30,18 @@ stride-1 window its even and odd chains, stepped apart and interleaved.
 The sites between read as zeros, a chain's ends add +0.0 halves, and a
 caller's zero pair is computed with.  A periodic state is closed chains:
 one through every site for an odd period, the evens and the odds for an
-even one; ``_closed`` folds each chain's overflow site onto its first.
+even one; ``_closed`` folds each chain's overflow site onto its first.  A
+period-1 state is its own one-site chain, with no slicing or interleaving.
 
 A walk from the origin reports itself through one stream, ``_site_weights``:
-for each step, its first stored site and the weights of its stored sites,
-with no ``Measure``, no zero fill and no dict.  ``distributions`` is a dict
-view over that stream, and ``distribution`` walks n steps and reads its one
-law from the final state's ``measure``.
+for each step, its first stored site and the weights of its stored sites.
+The stream steps the walk's open chain with ``_chain`` itself: no state
+object, ``Measure``, zero fill or dict per step.  ``distributions`` is a
+dict view over that stream, and ``distribution`` walks n states with
+``_walk`` and reads its one law from the final state's ``measure``; both
+check their arguments on the call with ``_start``.  Verify's stationarity
+checks read a periodic state's stored weights in the same way (see
+``stationary.stationary_residual``).
 """
 
 from __future__ import annotations
@@ -235,7 +240,9 @@ class PeriodicState:
         """One time step; shift-equivariance keeps the period fixed."""
         s = self._sites
         state = object.__new__(PeriodicState)  # the step's output needs no check
-        if len(s) % 2:
+        if len(s) == 1:  # one site is its own closed chain, with nothing to interleave
+            state._sites, state._weights = _closed(coin, s)
+        elif len(s) % 2:
             # sites 1, 3, ..., 0, 2, ... are one cycle two apart; they step
             # onto the new sites 0, 2, ..., 1, 3, ..., in that order
             sites, weights = _closed(coin, s[1::2] + s[::2])
@@ -348,13 +355,18 @@ def _check_normalized(spinor: AmplitudePair) -> None:
         raise NotNormalizedError(f"initial spinor has squared norm {total!r}")
 
 
-def _walk(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[FiniteSupportState]:
-    """States at times 0..n_max of the walk from the origin, arguments checked on the call."""
+def _start(spinor: AmplitudePair, n_max: int) -> FiniteSupportState:
+    """The state at time 0 of a walk from the origin, after checking both arguments."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_normalized(spinor)
+    return FiniteSupportState.delta(spinor)
+
+
+def _walk(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[FiniteSupportState]:
+    """States at times 0..n_max of the walk from the origin, arguments checked on the call."""
     return accumulate(range(n_max), lambda state, _: state.evolve(coin),
-                      initial=FiniteSupportState.delta(spinor))
+                      initial=_start(spinor, n_max))
 
 
 def _site_weights(coin: Coin, spinor: AmplitudePair,
@@ -362,11 +374,22 @@ def _site_weights(coin: Coin, spinor: AmplitudePair,
     """``(first site, weights)`` for times 0..n_max of the walk from the origin.
 
     The weights are those of the stored sites ``first, first + 2, ...``:
-    each state's own list, which the step built with its sites, so a
-    caller only reads it.  No ``Measure``, no zero fill and no dict.  The
-    arguments are checked on the call.
+    the list ``_chain`` built with them, which a caller only reads.  The
+    walk is one open chain, stepped by ``_chain`` itself, with no state
+    object, ``Measure``, zero fill or dict per step.  The arguments are
+    checked on the call, as ``_walk`` checks them.
     """
-    return ((state.offset, state._weights) for state in _walk(coin, spinor, n_max))
+    return _open_chain(coin, _start(spinor, n_max), n_max)
+
+
+def _open_chain(coin: Coin, start: FiniteSupportState,
+                n_max: int) -> Iterator[tuple[int, list[float]]]:
+    """``_site_weights`` of a checked one-site start: after t steps its first site is -t."""
+    sites, weights = start._sites, start._weights
+    yield 0, weights
+    for t in range(1, n_max + 1):
+        sites, weights = _chain(coin, sites)
+        yield -t, weights
 
 
 def distributions(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[dict[int, float]]:

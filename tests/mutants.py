@@ -62,6 +62,23 @@ MUTANTS = [
      "_merge(_chain(coin, s[::2]), _chain(coin, s[1::2]))",
      "_merge(_chain(coin, s[1::2]), _chain(coin, s[::2]))",
      ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
+    ("walk.py",  # PeriodicState.evolve: a period-1 chain stepped open, its overflow site kept
+     "state._sites, state._weights = _closed(coin, s)",
+     "state._sites, state._weights = _chain(coin, s)",
+     ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
+    ("walk.py",  # _open_chain: each step's first site one to the right
+     "yield -t, weights",
+     "yield 1 - t, weights",
+     ["tests/test_walk.py::test_site_weights_are_the_stored_weights_of_the_walk[hadamard]"]),
+    ("stationary.py",  # stationary_residual: each step compared with the step before
+     "deviations.extend(map(abs, map(sub, weights, values)))",
+     "deviations.extend(map(abs, map(sub, weights, values)))\n        values = weights",
+     ["tests/test_stationary.py::"
+      "test_stationary_residual_keeps_the_bits_of_the_per_step_measure_fold[quaternion]"]),
+    ("stationary.py",  # stationary_residual: a step with an infinite weight sum let through
+     "if not 0.0 < sum(weights) < math.inf:",
+     "if not 0.0 < sum(weights):",
+     ["tests/test_stationary.py::test_a_step_whose_weights_the_measure_rejects_raises[overflow]"]),
     ("walk.py",  # FiniteSupportState: a one-site state stored dense, its dead sites computed
      "self.stride = 2 if len(self._sites) == 1 else 1",
      "self.stride = 1",
@@ -77,7 +94,7 @@ MUTANTS = [
     ("coin.py",  # _max_dev: the builtin max drops a NaN that is not first
      "return max_or_nan([abs(x - y) for x, y in zip(m, n)])",
      "return max([abs(x - y) for x, y in zip(m, n)])",
-     ["tests/test_coin.py::test_flat_kernel_is_bit_identical_to_the_scalar_operators"]),
+     ["tests/test_coin.py::test_flat_max_dev_is_nan_wherever_the_nan_sits"]),
     ("pathsum.py",  # _reduction_steps: the real part summed as w - (x + y + z)
      "return (cw * ew - cx * ex - cy * ey - cz * ez,",
      "return (cw * ew - (cx * ex + cy * ey + cz * ez),",
@@ -112,10 +129,10 @@ MUTANTS = [
      "return (qw * aw - qx * ax - qy * ay - qz * az,",
      "return (qw * aw - (qx * ax + qy * ay + qz * az),",
      ["tests/test_coin.py::test_flat_kernel_is_bit_identical_to_the_scalar_operators"]),
-    ("coin.py",  # _unitarity_residual: U U* measured twice, U* U never
-     "_max_dev(_matmul(adj, m), _FLAT_IDENTITY)",
-     "_max_dev(_matmul(m, adj), _FLAT_IDENTITY)",
-     ["tests/test_coin.py::test_flat_kernel_is_bit_identical_to_the_scalar_operators"]),
+    ("coin.py",  # _unitarity_residual: U U* measured, U* U dropped
+     "zip(_matmul(m, adj) + _matmul(adj, m),",
+     "zip(_matmul(m, adj),",
+     ["tests/test_coin.py::test_one_pass_unitarity_residual_keeps_the_bits_of_the_nested_one"]),
     ("pathsum.py",  # path_sums: splits read from site -n up, so l and n - l swap
      "for x in range(n, -n - 1, -2)",
      "for x in range(-n, n + 1, 2)",

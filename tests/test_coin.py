@@ -30,7 +30,7 @@ from qqwalk import (
     random_unitary_coin,
     right_eigen_check,
 )
-from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES, _flat, _matmul
+from qqwalk.coin import PRESET_NAMES, PRODUCT_RULES, _flat, _matmul, _max_dev
 from qqwalk.quaternion import max_or_nan
 
 from conftest import SQRT_HALF, assert_mclose, assert_qclose, q, unchecked_coin
@@ -270,6 +270,41 @@ def test_unitarity_residual():
         assert coin.unitarity_residual == expected
     assert QMatrix2(1, 1, 0, 1).unitarity_residual() == 1.0
     assert math.isnan(QMatrix2(1, 0, 0, q(0, math.nan)).unitarity_residual())
+
+
+def _nested_unitarity(matrix: QMatrix2) -> float:
+    """The unitarity residual as one ``max_dev`` per product, then one ``max_or_nan``."""
+    ident, adj = QMatrix2.identity(), matrix.adjoint()
+    return max_or_nan(((matrix @ adj).max_dev(ident), (adj @ matrix).max_dev(ident)))
+
+
+def _unitarity_cases():
+    rng = Random(13)
+    yield from (preset_coin(name).matrix for name in PRESET_NAMES)
+    for entries in ("real", "complex", "quaternion"):
+        yield from (random_unitary_coin(rng, entries).matrix for _ in range(20))
+    yield from (random_matrix(rng) for _ in range(20))  # M M* and M* M deviate apart
+    for bad in (math.nan, math.inf, -math.inf):
+        for slot in range(16):
+            flat = list(_flat(random_unitary_coin(rng).matrix))
+            flat[slot] = bad
+            yield QMatrix2(*(Quaternion(*flat[i:i + 4]) for i in range(0, 16, 4)))
+
+
+def test_one_pass_unitarity_residual_keeps_the_bits_of_the_nested_one():
+    cases = list(_unitarity_cases())
+    assert any(math.isnan(_nested_unitarity(m)) for m in cases)
+    for matrix in cases:
+        assert matrix.unitarity_residual().hex() == _nested_unitarity(matrix).hex(), matrix
+
+
+def test_flat_max_dev_is_nan_wherever_the_nan_sits():
+    ident = QMatrix2.identity()
+    for slot in range(16):
+        flat = list(_flat(ident))
+        flat[slot] = math.nan
+        assert math.isnan(_max_dev(flat, _flat(ident))), slot
+        assert math.isnan(_max_dev(_flat(ident), flat)), slot
 
 
 def test_product_table_reports_its_worst_deviation():

@@ -39,6 +39,9 @@ from qqwalk import (
     verify_stationary,
 )
 
+from qqwalk.quaternion import max_or_nan
+from qqwalk.verify import _random_b0_coin, _random_b0_state
+
 from conftest import SQRT_HALF, assert_qclose, max_dist_dev, q
 
 
@@ -401,6 +404,70 @@ def test_stationary_residual():
     assert stationary_residual(preset_coin("hadamard"), delta, 1) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         stationary_residual(coin, uniform, 0)
+
+
+def _measured_residual(coin, state, n_max):
+    """``stationary_residual`` with one ``Measure`` per step, folded by ``max_or_nan``."""
+    reference = state.measure()
+    deviations = []
+    for _ in range(n_max):
+        state = state.evolve(coin)
+        deviations.append(state.measure().max_dev(reference))
+    return max_or_nan(deviations)
+
+
+def _random_pair(rng):
+    return (Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)]),
+            Quaternion(*[rng.gauss(0.0, 1.0) for _ in range(4)]))
+
+
+@pytest.mark.parametrize("coins", ["quaternion", "b=0"])
+def test_stationary_residual_keeps_the_bits_of_the_per_step_measure_fold(coins):
+    rng = Random(coins)
+    for period in range(1, 9):
+        for _ in range(6):
+            coin = random_unitary_coin(rng) if coins == "quaternion" else _random_b0_coin(rng)
+            pairs = [_random_pair(rng) for _ in range(period)]
+            if period > 2:  # a zero pair and a -0.0 one, which are computed with
+                pairs[1:3] = [(q(), q()), (q(-0.0), q(0.0, -0.0))]
+            states = [PeriodicState(pairs), PeriodicState.constant(pairs[0])]
+            if coins == "b=0":
+                states.append(_random_b0_state(rng))  # some of which stay invariant
+            for state in states:
+                n_max = rng.randint(1, 12)
+                assert (stationary_residual(coin, state, n_max).hex()
+                        == _measured_residual(coin, state, n_max).hex()), (period, n_max)
+
+
+_REJECTED = "^measure values must be finite, nonnegative and not all zero$"
+
+
+@pytest.mark.parametrize("case", ["overflow", "underflow"])
+def test_a_step_whose_weights_the_measure_rejects_raises(case):
+    # the start's weights are finite and not all zero; the first step's are not
+    if case == "overflow":  # two weights of 1.69e308 step onto one site
+        big = 1.3e154
+        coin = preset_coin("flip")
+        state = PeriodicState([(q(big), q()), (q(), q()), (q(), q(big))])
+    else:  # a weight of 5e-324 spread over four components, each of which squares to 0.0
+        half = q(0.5, 0.5, 0.5, 0.5)
+        coin = Coin(QMatrix2(half, q(), q(), half))
+        state = PeriodicState.constant((q(math.sqrt(5e-324)), q()))
+    state.measure()
+    with pytest.raises(ValueError, match=_REJECTED):
+        state.evolve(coin).measure()
+    with pytest.raises(ValueError, match=_REJECTED):
+        stationary_residual(coin, state, 3)
+    if case == "underflow":
+        with pytest.raises(ValueError, match=_REJECTED):
+            check_two_step_uniformity(coin, state)
+
+
+def test_two_step_uniformity_rejects_a_state_the_measure_rejects():
+    coin = Coin(QMatrix2(q(0, 1), q(), q(), q(0, 0, 0, 1)))
+    for pairs in ([(q(1e200), q())], [(q(1), q()), (q(0, 1e155), q(1e155))]):
+        with pytest.raises(ValueError, match=_REJECTED):
+            check_two_step_uniformity(coin, PeriodicState(pairs))
 
 
 def test_nan_eigenvalue_is_rejected():

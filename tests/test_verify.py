@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
+from qqwalk import Measure
 from qqwalk.verify import _random_b0_state, _random_direction, run_suites
 
 from conftest import blocks_kept
@@ -27,3 +28,18 @@ def test_a_repeat_verify_round_keeps_few_blocks():
             run_suites("all", seed=seed)
 
     assert blocks_kept(verify_round, calls=1) < 1000
+
+
+def test_the_stationary_suite_measures_each_state_once(monkeypatch):
+    # a walk check measures its start state and reads each step's stored
+    # weights: 1442 measures when every step was measured
+    built = []
+    measure_init = Measure.__init__
+
+    def counting_init(mu, *args, **kwargs):
+        built.append(mu)
+        measure_init(mu, *args, **kwargs)
+
+    monkeypatch.setattr(Measure, "__init__", counting_init)
+    run_suites("stationary", seed=0)
+    assert len(built) == 20 + 2 + 200  # the uniform states, the a0 witness twice, the b=0 states

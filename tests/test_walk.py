@@ -29,7 +29,7 @@ from qqwalk import (
 )
 from qqwalk.coin import PRESET_NAMES
 from qqwalk.quaternion import max_or_nan
-from qqwalk.walk import _chain, _weights
+from qqwalk.walk import _chain, _site_weights, _walk, _weights
 
 from conftest import (
     SQRT_HALF,
@@ -282,6 +282,28 @@ def test_laws_build_no_measure_but_the_last(monkeypatch):
     law = distribution(coin, spinor, 30)
     assert calls == ["measure", "Measure"]
     assert sorted(law) == list(range(-30, 31, 2))
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "random"])
+def test_site_weights_are_the_stored_weights_of_the_walk(monkeypatch, name):
+    # the stream steps the open chain itself, with no state object per step
+    rng = Random(name)
+    coin = random_unitary_coin(rng) if name == "random" else preset_coin(name)
+    spinor = random_unit_pair(rng)
+    walked = [(state.offset, [w.hex() for w in state._weights])
+              for state in _walk(coin, spinor, 30)]
+    stepped = []
+    evolve = FiniteSupportState.evolve
+
+    def counting_evolve(state, coin):
+        stepped.append(state)
+        return evolve(state, coin)
+
+    monkeypatch.setattr(FiniteSupportState, "evolve", counting_evolve)
+    streamed = [(first, [w.hex() for w in weights])
+                for first, weights in _site_weights(coin, spinor, 30)]
+    assert stepped == []
+    assert streamed == walked
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, "random"])
@@ -689,9 +711,12 @@ def test_point_started_walks_step_only_their_live_sites(monkeypatch):
         return _chain(coin, chain)
 
     monkeypatch.setattr("qqwalk.walk._chain", counting_chain)
-    law = list(distributions(preset_coin("hadamard"), up_spinor(), 30))
-    assert handed == [t + 1 for t in range(30)]  # the live parity of the 2t + 1 window
-    assert sorted(law[30]) == list(range(-30, 31, 2))
+    # the stream steps the chain itself; distribution steps states from FiniteSupportState.delta
+    for walk in (lambda *args: list(distributions(*args))[30], distribution):
+        handed.clear()
+        law = walk(preset_coin("hadamard"), up_spinor(), 30)
+        assert handed == [t + 1 for t in range(30)]  # the live parity of the 2t + 1 window
+        assert sorted(law) == list(range(-30, 31, 2))
 
 
 def test_walk_does_no_quaternion_products(monkeypatch):
