@@ -13,7 +13,9 @@ The coin algebra runs on one flat kernel: a matrix is a 16-tuple
 and ``max_dev`` in their operation order, products with a zero entry
 included, so every component and residual has the bits of the scalar
 operators.  A ``Coin`` flattens its matrix once, as ``coin.flat``, and
-stores its split once, as ``coin.flat_basis``.  Validation, the walk step,
+stores its split once, as ``coin.flat_basis``, and the zero pattern of
+``coin.flat`` once, as ``coin.flat_zeros``, by which the walk picks its
+step kernel.  Validation, the walk step,
 the brute-force path-sum fold (which reads the rows ``(a, b)`` and
 ``(c, d)``) and the decomposition (which multiplies by the adjoint of U)
 read ``coin.flat``; the product table, ``Coin.basis`` and the P/Q/R/S
@@ -50,6 +52,11 @@ def _q(value) -> Quaternion:
 def _flat(matrix: "QMatrix2") -> tuple:
     return (matrix.e11.components() + matrix.e12.components()
             + matrix.e21.components() + matrix.e22.components())
+
+
+def _zeros(flat) -> bytes:
+    """The zero pattern of a flat matrix: one byte per float, 1 where it is +-0.0."""
+    return bytes([v == 0.0 for v in flat])
 
 
 def _unflat(flat) -> "QMatrix2":
@@ -264,9 +271,12 @@ class Coin:
            (moves it right), and the mates R = ``[[c, d], [0, 0]]`` and
            S = ``[[0, 0], [a, b]]`` that close {P, Q, R, S} under multiplication.
            ``p``, ``q``, ``r``, ``s`` and ``basis(letter)`` are ``QMatrix2`` views of it.
+        flat_zeros: the zero pattern of ``flat``, one byte per float, 1 where it
+           is +-0.0: a ``bytes``, whose hash is computed once, as the walk looks
+           its kernel up by it on every step.
     """
 
-    __slots__ = ("matrix", "flat", "unitarity_residual", "flat_basis")
+    __slots__ = ("matrix", "flat", "unitarity_residual", "flat_basis", "flat_zeros")
 
     def __init__(self, matrix: QMatrix2):
         # a NaN or infinite entry makes the residual NaN or infinite, so every
@@ -277,6 +287,7 @@ class Coin:
             raise NotUnitaryError(f"coin matrix is not unitary: residual {residual!r}")
         self.matrix, self.flat, self.unitarity_residual = matrix, flat, residual
         self.flat_basis = _split(flat)
+        self.flat_zeros = _zeros(flat)
 
     a = property(lambda self: self.matrix.e11)
     b = property(lambda self: self.matrix.e12)

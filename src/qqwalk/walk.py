@@ -15,12 +15,21 @@ Quaternion)`` pairs once, ``evolve`` trusts the step's output, and only
 keeps its site weights ``|psiL|^2 + |psiR|^2`` beside its sites.
 
 One kernel, ``_chain``, makes every step.  It steps a chain of sites two
-apart, building each new site and its weight in one loop.  It reads the
-coin's stored flat matrix ``coin.flat`` and spells the Hamilton products
-out in the operation order of ``Quaternion.__mul__`` then ``__add__``, so
-every component has the bits of the scalar reference
-``coin.matrix.apply(pair)``.  Every ``Measure``, a state's own included,
-is built by ``Measure.__init__`` and gets all of its checks.
+apart, building each new site and its weight in one loop, on the coin's
+stored flat matrix ``coin.flat``.  The loop is generated from one table,
+``_HAMILTON``, of the Hamilton product's terms in the operation order of
+``Quaternion.__mul__`` then ``__add__``: one kernel per zero pattern of
+``coin.flat`` (``coin.flat_zeros``), compiled on first use and kept in
+``_KERNELS``.  The dense kernel does all 64 products a site; a sparse one
+leaves out the terms of the zero coin floats, 48 of them for Hadamard
+and ``[[1, i], [j, k]]/sqrt(2)``, and recomputes a component that comes
+out 0.0 with every term.  With finite amplitudes a term left out is
++-0.0, which changes no sum but the sign of a zero one, so every
+component has the bits of the scalar reference ``coin.matrix.apply(pair)``.
+A chain whose state's stored weights do not sum to a finite value steps
+on the dense kernel: a zero coin float times an infinite or NaN amplitude
+is NaN.  Every ``Measure``, a state's own included, is built by
+``Measure.__init__`` and gets all of its checks.
 
 A step reads only sites ``x - 1`` and ``x + 1``, so a walk started from a
 point is zero where ``x != t (mod 2)``.  A finite state stores its sites at
@@ -82,43 +91,103 @@ def _pair(site) -> AmplitudePair:
     return (Quaternion(*site[:4]), Quaternion(*site[4:]))
 
 
-def _chain(coin: Coin, chain) -> tuple[list, list]:
-    """One step of a chain of sites two apart: ``(sites, weights)``, one site longer.
+# The Hamilton product p q by component of the result, w, x, y, z: each
+# term's sign, p component and q component, in ``Quaternion.__mul__`` order.
+_HAMILTON = ((("+", 0, 0), ("-", 1, 1), ("-", 2, 2), ("-", 3, 3)),
+             (("+", 0, 1), ("+", 1, 0), ("+", 2, 3), ("-", 3, 2)),
+             (("+", 0, 2), ("-", 1, 3), ("+", 2, 0), ("+", 3, 1)),
+             (("+", 0, 3), ("+", 1, 2), ("-", 2, 1), ("+", 3, 0)))
 
-    New site j joins ``a psiL + b psiR`` of ``chain[j]`` to ``c psiL + d psiR``
-    of ``chain[j - 1]``; past either end the missing half is +0.0.  Each
-    weight is summed as ``_weights`` sums it, as its site is built.
-    """
-    aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = coin.flat
+_DENSE = bytes(16)  # the zero pattern of a coin with no zero float
+
+#: Chain kernels by the zero pattern ``coin.flat_zeros`` they were generated for.
+_KERNELS: dict = {}
+
+# The kernel's source, less its two rows of four components.  The source is
+# built from these fixed names and a zero pattern alone, never from input.
+_KERNEL = """def kernel(flat, chain):
+    aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz, dw, dx, dy, dz = flat
     sites, weights = [], []
     pw = px = py = pz = pv = 0.0  # the lower half from the site before, and its weight
     # a loop, not comprehensions: on Python 3.10 and 3.11 a comprehension is a
     # nested function, which would read the 16 coin floats from closure cells
     for lw, lx, ly, lz, rw, rx, ry, rz in chain:
-        uw = (aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz)
-        ux = (aw * lx + ax * lw + ay * lz - az * ly) + (bw * rx + bx * rw + by * rz - bz * ry)
-        uy = (aw * ly - ax * lz + ay * lw + az * lx) + (bw * ry - bx * rz + by * rw + bz * rx)
-        uz = (aw * lz + ax * ly - ay * lx + az * lw) + (bw * rz + bx * ry - by * rx + bz * rw)
+        {upper}
         sites.append((uw, ux, uy, uz, pw, px, py, pz))
         weights.append((uw * uw + ux * ux + uy * uy + uz * uz) + pv)
-        pw = (cw * lw - cx * lx - cy * ly - cz * lz) + (dw * rw - dx * rx - dy * ry - dz * rz)
-        px = (cw * lx + cx * lw + cy * lz - cz * ly) + (dw * rx + dx * rw + dy * rz - dz * ry)
-        py = (cw * ly - cx * lz + cy * lw + cz * lx) + (dw * ry - dx * rz + dy * rw + dz * rx)
-        pz = (cw * lz + cx * ly - cy * lx + cz * lw) + (dw * rz + dx * ry - dy * rx + dz * rw)
+        {lower}
         pv = pw * pw + px * px + py * py + pz * pz
     sites.append((0.0, 0.0, 0.0, 0.0, pw, px, py, pz))
     weights.append(pv)  # 0.0 + pv is pv: a sum of squares is never -0.0
     return sites, weights
+"""
 
 
-def _closed(coin: Coin, chain) -> tuple[list, list]:
+def _row_sum(row: str, k: int, zeros: bytes) -> str:
+    """Component k of ``row[0] psiL + row[1] psiR``, less the terms of zero coin floats.
+
+    Each entry's product is one parenthesized group and the groups are
+    added, as ``Quaternion.__add__`` adds two products; the text is empty
+    when every term is left out.
+    """
+    groups = []
+    for entry, half in zip(row, "lr"):
+        base = 4 * "abcd".index(entry)
+        terms = [(sign, f"{entry}{'wxyz'[i]} * {half}{'wxyz'[j]}")
+                 for sign, i, j in _HAMILTON[k] if not zeros[base + i]]
+        if terms:
+            (sign, first), rest = terms[0], terms[1:]
+            groups.append(("-" if sign == "-" else "") + first
+                          + "".join([f" {sign} {term}" for sign, term in rest]))
+    return " + ".join([f"({group})" for group in groups])
+
+
+def _kernel(zeros: bytes):
+    """The chain kernel of one zero pattern, generated and compiled on first use.
+
+    A component keeps its terms by a nonzero coin float, in order, and
+    falls back on the full sum when it comes out 0.0.  A term left out is
+    an exact +-0.0 when the amplitudes are finite, and adding a zero
+    changes no sum but the sign of a zero one.  So the kept terms sum to
+    the full sum's value, and are zero exactly when it is: a nonzero
+    component has the full sum's bits, and a zero one takes them from it.
+    """
+    lines = []
+    for row, half in (("ab", "u"), ("cd", "p")):
+        for k, name in enumerate("wxyz"):
+            full, kept = _row_sum(row, k, _DENSE), _row_sum(row, k, zeros)
+            lines.append(f"{half}{name} = {full}" if kept in (full, "")
+                         else f"{half}{name} = {kept} or {full}")
+    namespace = {}
+    exec(_KERNEL.format(upper="\n        ".join(lines[:4]), lower="\n        ".join(lines[4:])),
+         namespace)
+    kernel = _KERNELS[zeros] = namespace["kernel"]
+    return kernel
+
+
+def _chain(coin: Coin, chain, weights) -> tuple[list, list]:
+    """One step of a chain of sites two apart: ``(sites, weights)``, one site longer.
+
+    New site j joins ``a psiL + b psiR`` of ``chain[j]`` to ``c psiL + d psiR``
+    of ``chain[j - 1]``; past either end the missing half is +0.0.  Each
+    weight is summed as ``_weights`` sums it, as its site is built.  The
+    kernel is the one of the coin's zero pattern, unless ``weights``, the
+    stored weights of the chain's state or stream, do not sum to a finite
+    value: a zero coin float times an infinite or NaN amplitude is NaN, so
+    such a chain steps on the dense kernel.
+    """
+    zeros = coin.flat_zeros if sum(weights) < math.inf else _DENSE
+    return (_KERNELS.get(zeros) or _kernel(zeros))(coin.flat, chain)
+
+
+def _closed(coin: Coin, chain, weights) -> tuple[list, list]:
     """``_chain`` of a cycle: the overflow site folds onto the first site.
 
     The first site has only its upper half and the overflow site only its
     lower half, so the joined site and the summed weight are bit for bit
     what one site with both halves would get.
     """
-    sites, weights = _chain(coin, chain)
+    sites, weights = _chain(coin, chain, weights)
     sites[0] = sites[0][:4] + sites.pop()[4:]
     weights[0] += weights.pop()
     return sites, weights
@@ -188,13 +257,14 @@ class FiniteSupportState:
 
     def evolve(self, coin: Coin) -> "FiniteSupportState":
         """One time step; the window grows by one site on each end."""
-        s = self._sites
+        s, w = self._sites, self._weights
         state = object.__new__(FiniteSupportState)  # the step's output needs no check
         state.offset, state.stride = self.offset - 1, self.stride
         if self.stride == 2:  # one chain: the sites between stay zero
-            state._sites, state._weights = _chain(coin, s)
+            state._sites, state._weights = _chain(coin, s, w)
         else:  # a dense window is two chains, one on each parity
-            state._sites, state._weights = _merge(_chain(coin, s[::2]), _chain(coin, s[1::2]))
+            state._sites, state._weights = _merge(_chain(coin, s[::2], w),
+                                                  _chain(coin, s[1::2], w))
         return state
 
     def measure(self) -> "Measure":
@@ -238,21 +308,21 @@ class PeriodicState:
 
     def evolve(self, coin: Coin) -> "PeriodicState":
         """One time step; shift-equivariance keeps the period fixed."""
-        s = self._sites
+        s, w = self._sites, self._weights
         state = object.__new__(PeriodicState)  # the step's output needs no check
         if len(s) == 1:  # one site is its own closed chain, with nothing to interleave
-            state._sites, state._weights = _closed(coin, s)
+            state._sites, state._weights = _closed(coin, s, w)
         elif len(s) % 2:
             # sites 1, 3, ..., 0, 2, ... are one cycle two apart; they step
             # onto the new sites 0, 2, ..., 1, 3, ..., in that order
-            sites, weights = _closed(coin, s[1::2] + s[::2])
+            sites, weights = _closed(coin, s[1::2] + s[::2], w)
             half = (len(s) + 1) // 2
             sites[::2], sites[1::2] = sites[:half], sites[half:]
             weights[::2], weights[1::2] = weights[:half], weights[half:]
             state._sites, state._weights = sites, weights
         else:  # the odd sites step onto the even ones, and the even ones onto the odd
-            state._sites, state._weights = _merge(_closed(coin, s[1::2]),
-                                                  _closed(coin, s[2::2] + s[:1]))
+            state._sites, state._weights = _merge(_closed(coin, s[1::2], w),
+                                                  _closed(coin, s[2::2] + s[:1], w))
         return state
 
     def measure(self) -> "Measure":
@@ -388,7 +458,7 @@ def _open_chain(coin: Coin, start: FiniteSupportState,
     sites, weights = start._sites, start._weights
     yield 0, weights
     for t in range(1, n_max + 1):
-        sites, weights = _chain(coin, sites)
+        sites, weights = _chain(coin, sites, weights)
         yield -t, weights
 
 

@@ -6,7 +6,7 @@ import math
 import sys
 
 from qqwalk import Coin, Quaternion
-from qqwalk.coin import _flat, _split
+from qqwalk.coin import _flat, _split, _zeros
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -19,7 +19,7 @@ def unchecked_coin(matrix) -> Coin:
     """A coin over any ``QMatrix2``, unitary or not, stored as ``Coin`` stores it."""
     coin = object.__new__(Coin)
     coin.matrix, coin.flat = matrix, _flat(matrix)
-    coin.flat_basis = _split(coin.flat)
+    coin.flat_basis, coin.flat_zeros = _split(coin.flat), _zeros(coin.flat)
     return coin
 
 

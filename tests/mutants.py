@@ -46,11 +46,24 @@ TUPLE_RULE = "tests/test_package.py::test_no_tuple_is_built_from_an_iterator"
 
 # (file under src/qqwalk, exact old text, new text, test node ids that must fail)
 MUTANTS = [
-    ("walk.py",  # _chain: the coin row's second product joins the first one's sum
-     "uw = (aw * lw - ax * lx - ay * ly - az * lz) + (bw * rw - bx * rx - by * ry - bz * rz)",
-     "uw = aw * lw - ax * lx - ay * ly - az * lz + bw * rw - bx * rx - by * ry - bz * rz",
+    ("walk.py",  # _row_sum: a coin row's two products summed as one, not added as two
+     'return " + ".join([f"({group})" for group in groups])',
+     'return " + ".join(groups)',
      ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
-    ("walk.py",  # _chain: a chain's far end padded with a -0.0 half
+    ("walk.py",  # _HAMILTON: the x component's second and third terms swapped
+     '(("+", 0, 1), ("+", 1, 0), ("+", 2, 3), ("-", 3, 2)),',
+     '(("+", 0, 1), ("+", 2, 3), ("+", 1, 0), ("-", 3, 2)),',
+     ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
+    ("walk.py",  # _kernel: a component of a zero coin float kept at the sparse sum's sign of zero
+     'else f"{half}{name} = {kept} or {full}")',
+     'else f"{half}{name} = {kept}")',
+     ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
+    ("walk.py",  # _chain: a chain with an infinite or NaN amplitude steps on its sparse kernel
+     "zeros = coin.flat_zeros if sum(weights) < math.inf else _DENSE",
+     "zeros = coin.flat_zeros",
+     ["tests/test_walk.py::test_non_finite_amplitudes_step_as_the_scalar_product[hadamard]",
+      "tests/test_walk.py::test_non_finite_amplitudes_step_as_the_scalar_product[b0]"]),
+    ("walk.py",  # the kernel template: a chain's far end padded with a -0.0 half
      "sites.append((0.0, 0.0, 0.0, 0.0, pw, px, py, pz))",
      "sites.append((-0.0, 0.0, 0.0, 0.0, pw, px, py, pz))",
      ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
@@ -59,12 +72,14 @@ MUTANTS = [
      "weights.pop()",
      ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
     ("walk.py",  # FiniteSupportState.evolve: a dense window's even and odd chains swapped
-     "_merge(_chain(coin, s[::2]), _chain(coin, s[1::2]))",
-     "_merge(_chain(coin, s[1::2]), _chain(coin, s[::2]))",
+     "_merge(_chain(coin, s[::2], w),\n"
+     "                                                  _chain(coin, s[1::2], w))",
+     "_merge(_chain(coin, s[1::2], w),\n"
+     "                                                  _chain(coin, s[::2], w))",
      ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
     ("walk.py",  # PeriodicState.evolve: a period-1 chain stepped open, its overflow site kept
-     "state._sites, state._weights = _closed(coin, s)",
-     "state._sites, state._weights = _chain(coin, s)",
+     "state._sites, state._weights = _closed(coin, s, w)",
+     "state._sites, state._weights = _chain(coin, s, w)",
      ["tests/test_walk.py::test_flat_walk_is_bit_identical_to_the_scalar_walk[real]"]),
     ("walk.py",  # _open_chain: each step's first site one to the right
      "yield -t, weights",
@@ -230,6 +245,10 @@ MUTANTS = [
      "zip(count(first, 2), weights)",
      "zip(count(first + 1, 2), weights)",
      ["tests/test_walk.py::test_point_started_walks_are_zero_off_the_live_parity[hadamard]"]),
+    ("verify.py",  # run_suites: all runs every registered suite, not its own five
+     "for suite in _ALL for report in SUITES[suite]",
+     "for suite in SUITES for report in SUITES[suite]",
+     ["tests/test_verify.py::test_all_runs_its_five_suites_in_order_and_no_other"]),
     ("verify.py",  # suite_theorem1: the original walk's weights compared with themselves
      "devs.extend(map(abs, map(sub, wa, wb)))",
      "devs.extend(map(abs, map(sub, wa, wa)))",

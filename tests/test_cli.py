@@ -810,6 +810,15 @@ def test_bare_import_loads_no_submodule_until_one_is_named():
     assert proc.stdout == "['qqwalk'] qqwalk.pathsum qqwalk.pathsum\n", proc.stderr[-2000:]
 
 
+def test_walk_kernels_are_compiled_on_first_use_not_at_import():
+    code = ("from qqwalk import cli, verify, walk; n = len(walk._KERNELS); "
+            "cli.main(['dist', '--coin', 'flip', '--init', '1,0', '--steps', '1']); "
+            "print(n, len(walk._KERNELS))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=CHILD_ENV)
+    assert proc.stdout.splitlines()[-1] == "0 1", proc.stderr[-2000:]
+
+
 class BlockProbe(io.TextIOBase):
     """A stdout sink that keeps the most live blocks seen at any write."""
 

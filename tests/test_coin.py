@@ -112,6 +112,13 @@ def test_p_squared_is_a_times_p():
         assert_mclose(coin.p @ coin.p, coin.a * coin.p)
 
 
+def test_zero_pattern_marks_each_signed_zero_float():
+    coin = Coin(QMatrix2(q(-0.0, 1.0), q(), q(), q(0.0, 0.0, -0.0, 1.0)))
+    assert list(coin.flat_zeros) == [1, 0, 1, 1] + [1] * 11 + [0]
+    for c in [preset_coin(name) for name in PRESET_NAMES] + [random_unitary_coin(Random(2))]:
+        assert list(c.flat_zeros) == [int(v == 0.0) for v in c.flat]
+
+
 def test_product_table_entries():
     h = preset_coin("hadamard")
     table = h.product_table()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from random import Random
 
-from qqwalk import Measure
+import pytest
+
+from qqwalk import Measure, verify
 from qqwalk.verify import _random_b0_state, _random_direction, run_suites
 
 from conftest import blocks_kept
@@ -43,3 +45,18 @@ def test_the_stationary_suite_measures_each_state_once(monkeypatch):
     monkeypatch.setattr(Measure, "__init__", counting_init)
     run_suites("stationary", seed=0)
     assert len(built) == 20 + 2 + 200  # the uniform states, the a0 witness twice, the b=0 states
+
+
+def test_all_runs_its_five_suites_in_order_and_no_other(monkeypatch):
+    # a suite added to the registry runs under its own name only
+    ran = []
+    for name in [*verify.SUITES, "throwaway"]:
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda seed, tol, name=name: ran.append(name) or [{"check": name}])
+    reports = run_suites("all", seed=3)
+    order = ["unitary", "pqrs", "stationary", "eigen", "theorem1"]
+    assert ran == order and reports == [{"check": name} for name in order]
+    assert run_suites("throwaway") == [{"check": "throwaway"}]
+    with pytest.raises(ValueError, match="^unknown suite 'none'; available: all, eigen, pqrs, "
+                                         "stationary, theorem1, throwaway, unitary$"):
+        run_suites("none")

@@ -7,7 +7,7 @@ import sys
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qqwalk import (
@@ -27,8 +27,10 @@ from qqwalk import (
     random_unitary_coin,
     state_from_json,
 )
-from qqwalk.coin import PRESET_NAMES
+from qqwalk import walk
+from qqwalk.coin import PRESET_NAMES, _unflat
 from qqwalk.quaternion import max_or_nan
+from qqwalk.verify import _random_b0_coin, run_suites
 from qqwalk.walk import _chain, _site_weights, _walk, _weights
 
 from conftest import (
@@ -40,6 +42,7 @@ from conftest import (
     blocks_kept,
     max_dist_dev,
     q,
+    unchecked_coin,
 )
 
 
@@ -246,9 +249,9 @@ def test_distributions_checks_its_arguments_on_the_call(monkeypatch):
     # the first step, and a negative n must not read as the t = 0 law
     steps = []
 
-    def counting_chain(coin, chain):
+    def counting_chain(coin, chain, weights):
         steps.append(len(chain))
-        return _chain(coin, chain)
+        return _chain(coin, chain, weights)
 
     monkeypatch.setattr("qqwalk.walk._chain", counting_chain)
     coin = preset_coin("hadamard")
@@ -680,6 +683,44 @@ def test_flat_walk_is_bit_identical_to_the_scalar_walk(entries):
             _assert_measure_bits(finite)
 
 
+_NON_FINITE = [(q(math.inf, 1.0), q(1.0, 0.5)), (q(0.0, -math.inf), q(0.0, -0.0)),
+               (q(math.nan), q(0.0, 0.0, 1.0)), (q(0.6), q(0.0, -0.0, 0.8))]
+
+
+def _named_coin(name: str) -> Coin:
+    if name == "random-real":
+        return random_unitary_coin(Random(62), "real")
+    if name == "b0":
+        return _random_b0_coin(Random(63))
+    return preset_coin(name)
+
+
+@pytest.mark.parametrize("name", ["hadamard", "flip", "random-real", "b0"])
+def test_non_finite_amplitudes_step_as_the_scalar_product(name):
+    # a zero coin float times an infinite or NaN amplitude is NaN, so no
+    # product may be left out of a step whose input is not finite
+    coin = _named_coin(name)
+    windows = [(0, [pair]) for pair in _NON_FINITE[:3]] + [(-2, _NON_FINITE)]
+    finites = [FiniteSupportState(offset, pairs) for offset, pairs in windows]
+    references = [{offset + j: pair for j, pair in enumerate(pairs)} for offset, pairs in windows]
+    blocks = [_NON_FINITE[:1], _NON_FINITE[1:3], _NON_FINITE[:3], _NON_FINITE]
+    periodics = [PeriodicState(pairs) for pairs in blocks]
+    for _ in range(3):
+        for i, state in enumerate(finites):
+            finites[i] = state = state.evolve(coin)
+            references[i] = _scalar_step(coin, references[i], state.sites())
+            _assert_bits(state, references[i])
+            assert [w.hex() for w in state._weights] == [w.hex() for w in _weights(state._sites)]
+        for i, pairs in enumerate(blocks):
+            periodics[i] = state = periodics[i].evolve(coin)
+            period = len(pairs)
+            wrapped = {x: pairs[x % period] for x in range(-1, period + 1)}
+            stepped = _scalar_step(coin, wrapped, range(period))
+            blocks[i] = [stepped[x] for x in range(period)]
+            _assert_bits(state, dict(enumerate(blocks[i])))
+            assert [w.hex() for w in state._weights] == [w.hex() for w in _weights(state._sites)]
+
+
 _component = st.floats(min_value=-2.0, max_value=2.0)
 _amplitude = st.one_of(
     st.builds(Quaternion),  # a zero the caller passes, which is computed with
@@ -687,12 +728,30 @@ _amplitude = st.one_of(
     st.builds(Quaternion, _component, _component, _component, _component))
 
 
-@given(seed=st.integers(0, 2 ** 32),
-       entries=st.sampled_from(("real", "complex", "quaternion")),
-       pairs=st.lists(st.tuples(_amplitude, _amplitude), min_size=1, max_size=6))
-def test_coin_rows_are_bit_identical_to_the_scalar_product(seed, entries, pairs):
-    coin = random_unitary_coin(Random(seed), entries)
-    sites, weights = _chain(coin, [left.components() + right.components() for left, right in pairs])
+def _masked_coin(seed: int) -> Coin:
+    """A random quaternion coin with a random set of its floats zeroed, some as -0.0."""
+    rng = Random(seed)
+    flat = [rng.choice((v, 0.0, -0.0)) for v in random_unitary_coin(rng).flat]
+    return unchecked_coin(_unflat(flat))
+
+
+# a coin of every zero pattern: dense random coins, the presets, verify's
+# b=0 coins and coins with random zero masks, whose rows are not unitary
+_coin = st.one_of(
+    st.builds(random_unitary_coin, st.integers(0, 2 ** 32).map(Random),
+              st.sampled_from(("real", "complex", "quaternion"))),
+    st.sampled_from(PRESET_NAMES).map(preset_coin),
+    st.integers(0, 2 ** 32).map(lambda seed: _random_b0_coin(Random(seed))),
+    st.integers(0, 2 ** 32).map(_masked_coin))
+
+
+@given(coin=_coin, pairs=st.lists(st.tuples(_amplitude, _amplitude), min_size=1, max_size=6))
+# a zero upper half whose signs of zero the products by the zero floats decide
+@example(coin=preset_coin("hadamard"),
+         pairs=[(q(-0.0, -1.0, 1.0, 1.0), q(-0.0, 1.0, 1.0, 1.0))])
+def test_coin_rows_are_bit_identical_to_the_scalar_product(coin, pairs):
+    chain = [left.components() + right.components() for left, right in pairs]
+    sites, weights = _chain(coin, chain, _weights(chain))
     assert len(sites) == len(weights) == len(pairs) + 1
     zero = (0.0, 0.0, 0.0, 0.0)
     for j, (site, weight) in enumerate(zip(sites, weights)):
@@ -703,12 +762,35 @@ def test_coin_rows_are_bit_identical_to_the_scalar_product(seed, entries, pairs)
         assert weight.hex() == _weights([site])[0].hex(), j
 
 
+def test_one_kernel_is_compiled_per_zero_pattern(monkeypatch):
+    compiled, patterns = [], set()
+    chain, kernel = walk._chain, walk._kernel
+
+    def recording_chain(coin, sites, weights):
+        patterns.add(coin.flat_zeros)  # every verify state is finite
+        return chain(coin, sites, weights)
+
+    def counting_kernel(zeros):
+        compiled.append(zeros)
+        return kernel(zeros)
+
+    monkeypatch.setattr(walk, "_KERNELS", {})
+    monkeypatch.setattr(walk, "_chain", recording_chain)
+    monkeypatch.setattr(walk, "_kernel", counting_kernel)
+    run_suites("all", seed=0)
+    assert len(compiled) == len(patterns) == len(walk._KERNELS)
+    assert set(compiled) == patterns == set(walk._KERNELS)
+    # random quaternion coins, real ones (hadamard's pattern), flip and flip-neg, and b=0 coins
+    assert patterns == {walk._DENSE, preset_coin("hadamard").flat_zeros,
+                        preset_coin("flip").flat_zeros, _random_b0_coin(Random(0)).flat_zeros}
+
+
 def test_point_started_walks_step_only_their_live_sites(monkeypatch):
     handed = []
 
-    def counting_chain(coin, chain):
+    def counting_chain(coin, chain, weights):
         handed.append(len(chain))
-        return _chain(coin, chain)
+        return _chain(coin, chain, weights)
 
     monkeypatch.setattr("qqwalk.walk._chain", counting_chain)
     # the stream steps the chain itself; distribution steps states from FiniteSupportState.delta
