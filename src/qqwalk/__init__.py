@@ -26,7 +26,7 @@ _EXPORTS = {
              "coin_from_spec", "random_unitary_coin", "NotUnitaryError"),
     "walk": ("NORM_TOL", "FiniteSupportState", "PeriodicState", "WalkState", "Measure",
              "state_from_json", "measure_from_json", "distribution", "distributions",
-             "hadamard_three_step_distribution", "random_unit_pair", "NotNormalizedError"),
+             "random_unit_pair", "NotNormalizedError"),
     "pathsum": ("WORD_CAP", "PQWord", "PQRSDecomposition", "reduce_word", "decompose_pqrs",
                 "path_sum", "path_sums", "path_sum_bruteforce", "path_sum_reduced",
                 "InvalidSplitError", "CapExceededError"),

@@ -23,9 +23,10 @@ stored flat matrix ``coin.flat``.  The loop is generated from one table,
 ``_KERNELS``.  The dense kernel does all 64 products a site; a sparse one
 leaves out the terms of the zero coin floats, 48 of them for Hadamard
 and ``[[1, i], [j, k]]/sqrt(2)``, and recomputes a component that comes
-out 0.0 with every term.  With finite amplitudes a term left out is
-+-0.0, which changes no sum but the sign of a zero one, so every
-component has the bits of the scalar reference ``coin.matrix.apply(pair)``.
+out -0.0 with every term (see ``_kernel``).  With finite amplitudes a term
+left out is +-0.0, which changes no sum but the sign of a zero one, so
+every component has the bits of the scalar reference
+``coin.matrix.apply(pair)``.
 A chain whose state's stored weights do not sum to a finite value steps
 on the dense kernel: a zero coin float times an infinite or NaN amplitude
 is NaN.  Every ``Measure``, a state's own included, is built by
@@ -46,18 +47,18 @@ A walk from the origin reports itself through one stream, ``_site_weights``:
 for each step, its first stored site and the weights of its stored sites.
 The stream steps the walk's open chain with ``_chain`` itself: no state
 object, ``Measure``, zero fill or dict per step.  ``distributions`` is a
-dict view over that stream, and ``distribution`` walks n states with
-``_walk`` and reads its one law from the final state's ``measure``; both
-check their arguments on the call with ``_start``.  Verify's stationarity
-checks read a periodic state's stored weights in the same way (see
-``stationary.stationary_residual``).
+dict view over that stream, and ``distribution`` steps one state n times
+with ``evolve`` and reads its one law from the final state's ``measure``;
+both check their arguments on the call with ``_start``.  Verify's
+stationarity checks read a periodic state's stored weights in the same way
+(see ``stationary.stationary_residual``).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import accumulate, count, islice
+from itertools import count
 from operator import index
 
 from .coin import Coin
@@ -146,19 +147,27 @@ def _kernel(zeros: bytes):
     """The chain kernel of one zero pattern, generated and compiled on first use.
 
     A component keeps its terms by a nonzero coin float, in order, and
-    falls back on the full sum when it comes out 0.0.  A term left out is
-    an exact +-0.0 when the amplitudes are finite, and adding a zero
-    changes no sum but the sign of a zero one.  So the kept terms sum to
-    the full sum's value, and are zero exactly when it is: a nonzero
-    component has the full sum's bits, and a zero one takes them from it.
+    falls back on the full sum only when it comes out -0.0.  A term left
+    out is an exact +-0.0 when the amplitudes are finite, and adding a
+    zero changes no sum but the sign of a zero one.  So the kept terms sum
+    to the full sum's value, and are zero exactly when it is: a nonzero
+    component has the full sum's bits.  Under round-to-nearest a sum of
+    signed terms is -0.0 only if every term is -0.0 (x + y is -0.0 only
+    for two -0.0s, and x - y is x + -y).  So a kept sum of +0.0 has a
+    term that is not -0.0, which the full sum has too: the full sum is
+    +0.0 as well, and the component is written as the literal 0.0.  Only
+    a kept sum of -0.0 leaves the sign of zero to the terms left out, and
+    takes it from the full sum.  A nonzero component costs one truth
+    test: the ``or`` returns it.
     """
     lines = []
     for row, half in (("ab", "u"), ("cd", "p")):
         for k, name in enumerate("wxyz"):
             full, kept = _row_sum(row, k, _DENSE), _row_sum(row, k, zeros)
+            fallback = f"({full} if copysign(1.0, {kept}) < 0.0 else 0.0)"
             lines.append(f"{half}{name} = {full}" if kept in (full, "")
-                         else f"{half}{name} = {kept} or {full}")
-    namespace = {}
+                         else f"{half}{name} = {kept} or {fallback}")
+    namespace = {"copysign": math.copysign}
     exec(_KERNEL.format(upper="\n        ".join(lines[:4]), lower="\n        ".join(lines[4:])),
          namespace)
     kernel = _KERNELS[zeros] = namespace["kernel"]
@@ -433,12 +442,6 @@ def _start(spinor: AmplitudePair, n_max: int) -> FiniteSupportState:
     return FiniteSupportState.delta(spinor)
 
 
-def _walk(coin: Coin, spinor: AmplitudePair, n_max: int) -> Iterator[FiniteSupportState]:
-    """States at times 0..n_max of the walk from the origin, arguments checked on the call."""
-    return accumulate(range(n_max), lambda state, _: state.evolve(coin),
-                      initial=_start(spinor, n_max))
-
-
 def _site_weights(coin: Coin, spinor: AmplitudePair,
                   n_max: int) -> Iterator[tuple[int, list[float]]]:
     """``(first site, weights)`` for times 0..n_max of the walk from the origin.
@@ -447,7 +450,7 @@ def _site_weights(coin: Coin, spinor: AmplitudePair,
     the list ``_chain`` built with them, which a caller only reads.  The
     walk is one open chain, stepped by ``_chain`` itself, with no state
     object, ``Measure``, zero fill or dict per step.  The arguments are
-    checked on the call, as ``_walk`` checks them.
+    checked on the call, as ``distribution`` checks them.
     """
     return _open_chain(coin, _start(spinor, n_max), n_max)
 
@@ -480,34 +483,17 @@ def distribution(coin: Coin, spinor: AmplitudePair, n: int) -> dict[int, float]:
     """P(X_n = x) for the walk started from ``spinor`` at the origin.
 
     The arguments are checked on the call, as in ``distributions``.  The
-    walk takes n steps, and the one law is read from the final state's
-    ``measure``, with the exactly-zero sites omitted; it equals the n-th
-    law of ``distributions`` bit for bit.
+    walk's state takes n steps, and the one law is read from the final
+    state's ``measure``, with the exactly-zero sites omitted; it equals the
+    n-th law of ``distributions`` bit for bit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    mu = next(islice(_walk(coin, spinor, n), n, None)).measure()
+    state = _start(spinor, n)
+    for _ in range(n):
+        state = state.evolve(coin)
+    mu = state.measure()
     return {x: p for x, p in zip(mu.sites(), mu.values) if p != 0.0}
-
-
-def hadamard_three_step_distribution(spinor: AmplitudePair) -> dict[int, float]:
-    """Closed-form three-step position law of the Hadamard walk.
-
-    With initial spinor (alpha, beta):
-    P(-3) = |alpha+beta|^2/8, P(-1) = (4|alpha|^2 + |alpha+beta|^2)/8,
-    P(1) = (4|beta|^2 + |alpha-beta|^2)/8, P(3) = |alpha-beta|^2/8.
-    """
-    _check_normalized(spinor)
-    alpha, beta = spinor
-    plus = (alpha + beta).norm_sq()
-    minus = (alpha - beta).norm_sq()
-    law = {
-        -3: plus / 8.0,
-        -1: (4.0 * alpha.norm_sq() + plus) / 8.0,
-        1: (4.0 * beta.norm_sq() + minus) / 8.0,
-        3: minus / 8.0,
-    }
-    return {x: p for x, p in law.items() if p != 0.0}
 
 
 def random_unit_pair(rng) -> AmplitudePair:

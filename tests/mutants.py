@@ -55,9 +55,18 @@ MUTANTS = [
      '(("+", 0, 1), ("+", 2, 3), ("+", 1, 0), ("-", 3, 2)),',
      ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
     ("walk.py",  # _kernel: a component of a zero coin float kept at the sparse sum's sign of zero
-     'else f"{half}{name} = {kept} or {full}")',
+     'else f"{half}{name} = {kept} or {fallback}")',
      'else f"{half}{name} = {kept}")',
      ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
+    ("walk.py",  # _kernel: the full sum recomputed for a +0.0 kept sum, and a -0.0 one kept
+     "copysign(1.0, {kept}) < 0.0 else 0.0)",
+     "copysign(1.0, {kept}) > 0.0 else -0.0)",
+     ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product"]),
+    ("walk.py",  # _HAMILTON: the sign of the w component's x term flipped
+     '((("+", 0, 0), ("-", 1, 1), ("-", 2, 2), ("-", 3, 3)),',
+     '((("+", 0, 0), ("+", 1, 1), ("-", 2, 2), ("-", 3, 3)),',
+     ["tests/test_exact_oracle.py::"
+      "test_float_laws_match_the_exact_laws_on_rational_coins[quaternion]"]),
     ("walk.py",  # _chain: a chain with an infinite or NaN amplitude steps on its sparse kernel
      "zeros = coin.flat_zeros if sum(weights) < math.inf else _DENSE",
      "zeros = coin.flat_zeros",

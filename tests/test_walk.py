@@ -20,7 +20,6 @@ from qqwalk import (
     Quaternion,
     distribution,
     distributions,
-    hadamard_three_step_distribution,
     measure_from_json,
     preset_coin,
     random_unit_pair,
@@ -31,7 +30,7 @@ from qqwalk import walk
 from qqwalk.coin import PRESET_NAMES, _unflat
 from qqwalk.quaternion import max_or_nan
 from qqwalk.verify import _random_b0_coin, run_suites
-from qqwalk.walk import _chain, _site_weights, _walk, _weights
+from qqwalk.walk import _chain, _site_weights, _weights
 
 from conftest import (
     SQRT_HALF,
@@ -132,26 +131,9 @@ def test_hadamard_symmetric_n3():
     assert_dist_close(dist, {-3: 1 / 8, -1: 3 / 8, 1: 3 / 8, 3: 1 / 8})
 
 
-def test_three_step_closed_form_up():
-    law = hadamard_three_step_distribution(up_spinor())
-    assert_dist_close(law, {-3: 1 / 8, -1: 5 / 8, 1: 1 / 8, 3: 1 / 8})
-
-
-def test_three_step_closed_form_matches_simulation():
-    rng = Random(12)
-    coin = preset_coin("hadamard")
-    spinors = [symmetric_i_spinor(), (q(SQRT_HALF), q(SQRT_HALF))]
-    spinors += [random_unit_pair(rng) for _ in range(10)]
-    for spinor in spinors:
-        law = hadamard_three_step_distribution(spinor)
-        assert_dist_close(law, distribution(coin, spinor, 3))
-
-
 def test_rejects_unnormalized_spinor():
     with pytest.raises(NotNormalizedError):
         distribution(preset_coin("hadamard"), (q(1), q(1)), 2)
-    with pytest.raises(NotNormalizedError):
-        hadamard_three_step_distribution((q(0.5), q(0.5)))
     with pytest.raises(NotNormalizedError):
         distribution(preset_coin("hadamard"), (q(math.nan), q()), 2)
 
@@ -293,8 +275,11 @@ def test_site_weights_are_the_stored_weights_of_the_walk(monkeypatch, name):
     rng = Random(name)
     coin = random_unitary_coin(rng) if name == "random" else preset_coin(name)
     spinor = random_unit_pair(rng)
-    walked = [(state.offset, [w.hex() for w in state._weights])
-              for state in _walk(coin, spinor, 30)]
+    state = FiniteSupportState.delta(spinor)
+    walked = [(state.offset, [w.hex() for w in state._weights])]
+    for _ in range(30):
+        state = state.evolve(coin)
+        walked.append((state.offset, [w.hex() for w in state._weights]))
     stepped = []
     evolve = FiniteSupportState.evolve
 
