@@ -13,9 +13,11 @@ Each subcommand loads only the modules it runs.  This module imports
 other subcommand builds on; ``xi`` imports ``pathsum`` in its handler,
 ``classify`` and ``eigen-check`` ``stationary``, and ``verify`` both
 ``stationary`` and ``verify``, which a ``dist`` process never loads.
-Those three import no heavy standard module at their top level: their
-result classes are written by hand, and only a ``classify`` that fits an
-exponential profile imports ``statistics``.
+``stationary`` imports ``pathsum`` only inside the one function that
+sums paths, so ``classify`` and ``eigen-check`` never load it.  None of
+the three imports a heavy standard module: their result classes are
+written by hand, and the exponential fit is written out in ``math.fsum``,
+with no ``statistics``.
 """
 
 from __future__ import annotations

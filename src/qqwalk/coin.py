@@ -30,8 +30,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from random import Random
 
+# ``Random`` in the annotations below is ``random.Random``.  They are never
+# evaluated, so the module is not imported: a process that draws no coin
+# loads no ``random``.
 from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
 
 

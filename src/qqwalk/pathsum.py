@@ -77,7 +77,7 @@ from .coin import (
     _max_dev,
     _unflat,
 )
-from .quaternion import ONE, ZERO, Quaternion
+from .quaternion import ONE, ZERO, Quaternion, _FrozenRecord, _set_field
 from .walk import FiniteSupportState
 
 #: Largest step count enumerated exhaustively (2^n words).
@@ -90,54 +90,6 @@ class InvalidSplitError(ValueError):
 
 class CapExceededError(ValueError):
     """Requested word length above the enumeration cap."""
-
-
-class _Record:
-    """A result class: fields in ``__slots__`` order, compared and shown by value.
-
-    Equal records are of one class.  A record is mutable and so unhashable;
-    ``copy`` and ``pickle`` rebuild it through its class's ``__init__``,
-    which takes the fields in order.  The result classes here and in
-    ``stationary`` build on it, written by hand rather than generated, so
-    that loading them imports no class generator and no ``inspect``.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> list:
-        return [getattr(self, name) for name in self.__slots__]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = ", ".join([f"{name}={value!r}"
-                            for name, value in zip(self.__slots__, self._values())])
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), tuple(self._values())
-
-
-#: Sets a field of a ``_FrozenRecord`` in its ``__init__``, past its ``__setattr__``.
-_set_field = object.__setattr__
-
-
-class _FrozenRecord(_Record):
-    """A ``_Record`` that hashes by value and refuses assignment and deletion."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(tuple(self._values()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class PQWord(_FrozenRecord):

@@ -52,6 +52,56 @@ def max_or_nan(values) -> float:
     return max(values, default=0.0) if total == total else total
 
 
+class _Record:
+    """A result class: fields in ``__slots__`` order, compared and shown by value.
+
+    Equal records are of one class.  A record is mutable and so unhashable;
+    ``copy`` and ``pickle`` rebuild it through its class's ``__init__``,
+    which takes the fields in order.  The result classes of ``pathsum`` and
+    ``stationary`` build on it, written by hand rather than generated, so
+    that loading them imports no class generator and no ``inspect``.  It
+    lives here, in a module both import, so that ``stationary`` need not
+    load ``pathsum`` for it.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}"
+                            for name, value in zip(self.__slots__, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(self._values())
+
+
+#: Sets a field of a ``_FrozenRecord`` in its ``__init__``, past its ``__setattr__``.
+_set_field = object.__setattr__
+
+
+class _FrozenRecord(_Record):
+    """A ``_Record`` that hashes by value and refuses assignment and deletion."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(tuple(self._values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class NotUnitError(ValueError):
     """Inverse requested for a quaternion whose modulus is not 1."""
 

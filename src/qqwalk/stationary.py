@@ -17,8 +17,7 @@ import math
 from operator import sub
 
 from .coin import Coin
-from .pathsum import _FrozenRecord, _Record, _set_field, path_sum
-from .quaternion import DEFAULT_TOL, Quaternion, max_or_nan
+from .quaternion import DEFAULT_TOL, Quaternion, _FrozenRecord, _Record, _set_field, max_or_nan
 from .walk import Measure, PeriodicState, WalkState, _check_normalized
 
 #: Residual tolerance for the exponential-profile least-squares fit.
@@ -244,6 +243,23 @@ class MeasureClass(_Record):
         return out
 
 
+def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through ``(xs, ys)``.
+
+    This is ``statistics.linear_regression`` in the operation order of
+    Python 3.10 and 3.11, each sum one ``math.fsum``.  From 3.12 on that
+    function sums its products with ``math.sumprod``, which rounds them
+    differently, so calling it printed other bits there.
+    """
+    n = len(xs)
+    x_bar = math.fsum(xs) / n
+    y_bar = math.fsum(ys) / n
+    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - x_bar) * (x - x_bar) for x in xs)
+    slope = sxy / sxx
+    return slope, y_bar - slope * x_bar
+
+
 def _fit_exponential_side(mu: Measure, window: int, sign: int):
     """Fit log mu = log C - |x| log gamma on one side; None if it fails, or if
     its slope moves log mu by at most ``EXP_FIT_TOL``, which the data do not resolve."""
@@ -257,9 +273,7 @@ def _fit_exponential_side(mu: Measure, window: int, sign: int):
         ys.append(math.log(v))
     if len(xs) < 3:
         return None
-    from statistics import linear_regression  # only a fit needs it, and no verify run fits
-
-    slope, intercept = linear_regression(xs, ys)
+    slope, intercept = _least_squares(xs, ys)
     residual = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
     if residual > EXP_FIT_TOL or abs(slope) * (xs[-1] - xs[0]) <= EXP_FIT_TOL:
         return None
@@ -417,6 +431,8 @@ def quadratic_form_coefficients(coin: Coin, n: int, l: int,
     """
     if not coin.is_real():
         raise NotRealCoinError("quadratic form coefficients require a real coin")
+    from .pathsum import path_sum  # only this function sums paths; classify never loads it
+
     xi = path_sum(coin, n, l, m)
     r11, r12 = xi.e11.w, xi.e12.w
     r21, r22 = xi.e21.w, xi.e22.w

@@ -174,10 +174,23 @@ MUTANTS = [
      "import math\n",
      "import math\nfrom dataclasses import dataclass\n",
      ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[xi-brute]"]),
-    ("stationary.py",  # the fit's statistics import hoisted, so every verify process loads it
+    ("stationary.py",  # the fit from statistics again, imported at the top, so verify loads it
      "import math\n",
      "import math\nfrom statistics import linear_regression\n",
      ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[verify]"]),
+    ("stationary.py",  # path_sum imported at the top, so classify and eigen-check load pathsum
+     "from .coin import Coin\n",
+     "from .coin import Coin\nfrom .pathsum import path_sum\n",
+     ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[eigen-check]",
+      "tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[classify-fitted]"]),
+    ("stationary.py",  # _least_squares: the slope's numerator summed left to right, not in fsum
+     "sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))",
+     "sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))",
+     ["tests/test_cli.py::test_classify_prints_the_same_bits_on_every_python"]),
+    ("coin.py",  # random imported for the annotations, so every dist process loads it
+     "import os\n",
+     "import os\nfrom random import Random\n",
+     ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[dist-no-site]"]),
     ("__init__.py",  # the package imports a submodule eagerly again
      '__version__ = "0.1.0"',
      'from . import stationary\n\n__version__ = "0.1.0"',

@@ -11,6 +11,7 @@ import os
 import resource
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
@@ -25,6 +26,7 @@ from qqwalk import (
     preset_coin,
 )
 from qqwalk.cli import build_parser, main
+from qqwalk.stationary import _least_squares
 
 from conftest import HELD_BLOCKS, TRACED_STEPS
 
@@ -365,6 +367,46 @@ def test_classify_near_flat_measure_is_other(capsys, measure, symmetric):
     # a periodic measure is never exponential, and the window does not enter it
     code, out, _ = run_cli(capsys, "classify", "--window", "3", "--measure", json.dumps(measure))
     assert (code, out) == (0, json.dumps({"kind": "other", "symmetric": symmetric}) + "\n")
+
+
+def _exponential_profiles(rng: Random, count: int = 200):
+    """Sides and centre of finite measures c_+- gamma^(-|x|), 3 to 8 sites a side."""
+    for _ in range(count):
+        gamma = rng.uniform(0.2, 0.9)
+        c_minus, c_plus = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        c_zero = rng.uniform(0.1, 1.0)
+        sites = rng.randint(3, 8)
+        sides = []
+        for c in (c_minus, c_plus):
+            side = []
+            for _ in range(sites):
+                c /= gamma
+                side.append(c)
+            sides.append(side)
+        yield sides[0], c_zero, sides[1]
+
+
+def test_classify_prints_the_same_bits_on_every_python(capsys):
+    # the digest was taken on Python 3.11; when the fit called
+    # statistics.linear_regression, which sums with math.sumprod from 3.12
+    # on, 33 of these 200 lines printed other bits on 3.12 and 3.13
+    lines = []
+    for minus, c_zero, plus in _exponential_profiles(Random(2014)):
+        measure = {"kind": "finite", "offset": -len(plus),
+                   "values": [*minus[::-1], c_zero, *plus]}
+        code, out, _ = run_cli(capsys, "classify", "--measure", json.dumps(measure))
+        assert code == 0 and json.loads(out)["kind"] == "exponential"
+        lines.append(out)
+        if sys.version_info < (3, 12):  # where linear_regression sums each term in fsum
+            from statistics import linear_regression
+
+            xs = [float(step) for step in range(1, len(plus) + 1)]
+            for side in (minus, plus):
+                ys = [math.log(v) for v in side]
+                assert ([v.hex() for v in _least_squares(xs, ys)]
+                        == [v.hex() for v in linear_regression(xs, ys)])
+    assert (hashlib.sha256("".join(lines).encode()).hexdigest()
+            == "751c85156fa88158b4b37eb4f4e657da66b229f32590ae255107b5d755e71fc6")
 
 
 @pytest.mark.parametrize("command, flag", [("dist", "--init"), ("eigen-check", "--eigenvalue")])
@@ -776,25 +818,36 @@ CHILD_MODULES = [sys.executable, "-c", "import sys; from qqwalk.cli import main;
                                        "print(*sys.modules, file=sys.stderr); sys.exit(code)"]
 
 
-#: Standard modules that no subcommand needs: only a fitted ``classify`` loads ``statistics``.
+#: Standard modules that no subcommand needs.
 UNUSED_STDLIB = ["dataclasses", "inspect", "statistics"]
 
+#: Modules that ``qqwalk.coin`` loaded for an annotation, and that ``site`` may preload.
+RANDOM_MODULES = ["random", "_random", "bisect"]
 
-@pytest.mark.parametrize("argv, loaded, absent", [
-    (["dist", "--coin", "hadamard", "--init", "1,0", "--steps", "3"], [],
+
+@pytest.mark.parametrize("flags, argv, loaded, absent", [
+    ([], ["dist", "--coin", "hadamard", "--init", "1,0", "--steps", "3"], [],
      ["qqwalk.pathsum", "qqwalk.stationary", "qqwalk.verify", *UNUSED_STDLIB]),
-    (["xi", "--coin", "hadamard", "-n", "4", "-l", "2", "-m", "2", "--mode", "brute"],
+    # without ``site``, nothing but qqwalk itself could load ``random``
+    (["-S"], ["dist", "--coin", "hadamard", "--init", "1,0", "--steps", "3"], [],
+     ["qqwalk.pathsum", "qqwalk.stationary", "qqwalk.verify", *UNUSED_STDLIB,
+      *RANDOM_MODULES]),
+    ([], ["xi", "--coin", "hadamard", "-n", "4", "-l", "2", "-m", "2", "--mode", "brute"],
      ["qqwalk.pathsum"], ["qqwalk.stationary", "qqwalk.verify", *UNUSED_STDLIB]),
-    (["eigen-check", "--coin", "flip", "--eigenvalue", "1",
-      "--state", '{"kind":"periodic","amplitudes":[[[1,0,0,0],[1,0,0,0]]]}'],
-     ["qqwalk.stationary"], ["qqwalk.verify", *UNUSED_STDLIB]),
-    (["verify", "--suite", "all", "--seed", "0"], ["qqwalk.verify"], UNUSED_STDLIB),
-    (["classify", "--measure", '{"kind":"periodic","values":[1,2]}'], ["qqwalk.stationary"],
-     ["qqwalk.verify", *UNUSED_STDLIB]),
-], ids=["dist", "xi-brute", "eigen-check", "verify", "classify-periodic"])
-def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, absent):
-    proc = subprocess.run([*CHILD_MODULES, *argv], capture_output=True, text=True,
-                          timeout=60, env=CHILD_ENV)
+    ([], ["eigen-check", "--coin", "flip", "--eigenvalue", "1",
+          "--state", '{"kind":"periodic","amplitudes":[[[1,0,0,0],[1,0,0,0]]]}'],
+     ["qqwalk.stationary"], ["qqwalk.pathsum", "qqwalk.verify", *UNUSED_STDLIB]),
+    ([], ["verify", "--suite", "all", "--seed", "0"], ["qqwalk.verify"], UNUSED_STDLIB),
+    ([], ["classify", "--measure", '{"kind":"periodic","values":[1,2]}'],
+     ["qqwalk.stationary"], ["qqwalk.pathsum", "qqwalk.verify", *UNUSED_STDLIB]),
+    # exponential with gamma = 0.5, so both sides are fitted
+    ([], ["classify", "--measure", '{"kind":"finite","offset":-3,"values":[8,4,2,1,2,4,8]}'],
+     ["qqwalk.stationary"], ["qqwalk.pathsum", "qqwalk.verify", *UNUSED_STDLIB]),
+], ids=["dist", "dist-no-site", "xi-brute", "eigen-check", "verify", "classify-periodic",
+        "classify-fitted"])
+def test_each_subcommand_loads_only_the_modules_it_runs(flags, argv, loaded, absent):
+    proc = subprocess.run([sys.executable, *flags, *CHILD_MODULES[1:], *argv],
+                          capture_output=True, text=True, timeout=60, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr[-2000:]
     modules = set(proc.stderr.split())
     assert set(loaded) <= modules
