@@ -326,8 +326,9 @@ class PeriodicState:
             # onto the new sites 0, 2, ..., 1, 3, ..., in that order
             sites, weights = _closed(coin, s[1::2] + s[::2], w)
             half = (len(s) + 1) // 2
-            state._sites, state._weights = _merge((sites[:half], weights[:half]),
-                                                  (sites[half:], weights[half:]))
+            sites[::2], sites[1::2] = sites[:half], sites[half:]
+            weights[::2], weights[1::2] = weights[:half], weights[half:]
+            state._sites, state._weights = sites, weights
         else:  # the odd sites step onto the even ones, and the even ones onto the odd
             state._sites, state._weights = _merge(_closed(coin, s[1::2], w),
                                                   _closed(coin, s[2::2] + s[:1], w))

@@ -183,9 +183,13 @@ MUTANTS = [
      "from .coin import Coin\nfrom .pathsum import path_sum\n",
      ["tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[eigen-check]",
       "tests/test_cli.py::test_each_subcommand_loads_only_the_modules_it_runs[classify-fitted]"]),
-    ("stationary.py",  # _least_squares: the slope's numerator summed left to right, not in fsum
+    ("stationary.py",  # _least_squares: the slope's numerator taken uncentred
      "sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))",
-     "sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))",
+     "sxy = math.fsum(x * y for x, y in zip(xs, ys)) - n * x_bar * y_bar",
+     ["tests/test_cli.py::test_classify_prints_the_same_bits_on_every_python"]),
+    ("stationary.py",  # _least_squares: the intercept taken from the sums, not the means
+     "return slope, y_bar - slope * x_bar",
+     "return slope, (math.fsum(ys) - slope * math.fsum(xs)) / n",
      ["tests/test_cli.py::test_classify_prints_the_same_bits_on_every_python"]),
     ("coin.py",  # random imported for the annotations, so every dist process loads it
      "import os\n",
