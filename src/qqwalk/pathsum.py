@@ -16,7 +16,7 @@ for any n.  Two capped reference oracles enumerate one split's 2^n words:
 Both fold every word left to right and enumerate words in the same
 deterministic order (lexicographic in the P positions), so sums are
 bit-stable across runs.  Each oracle folds the words that start with P,
-then those that start with Q, from that letter's root.  Words that share
+then those that start with Q, from the root ``ONE``.  Words that share
 a prefix share its fold, which takes C(n+2, l+1) - 4 steps in all for
 0 < l < n instead of one per letter of every word, C(n, l) * (n - 1).
 The steps are one-argument functions keyed by the prefix's last letter,
@@ -25,34 +25,50 @@ slices its input.  Once a prefix has used up its P's or its Q's, the
 rest of its one word is a forced tail, folded with no stack pushes.
 
 The folds run on flat floats, and quaternions are built once, from the
-totals.  Brute force carries one row per word: P = [[a, b], [0, 0]] and
+totals.  Both carry one quaternion 4-tuple per prefix, and every step of
+either is a right product by one coin entry, built by ``_right_product``.
+The reduced fold carries a coefficient.  A word's basis is fixed by its
+first and last letters (P..P, Q..Q, P..Q and Q..P give P, Q, R and S),
+and by the product table appending a letter multiplies the coefficient
+on the right by an entry that depends only on the basis's last letter.
+So the reduced steps are the right products by a, b, c and d for
+(last, next) = PP, PQ, QP and QQ, read from ``PRODUCT_RULES``, and each
+word's basis is read from its end letters when it is totalled.
+
+Brute force carries half a row.  P = [[a, b], [0, 0]] and
 Q = [[0, 0], [c, d]] each have a zero row, and a word's product keeps the
 zero row of its first letter, the bottom one after a P and the top one
-after a Q.  The other row is an 8-tuple ``(u, v)``, read from
-``coin.flat``; whatever the last letter, the P step maps it to
-``(u a, u b)`` and the Q step to ``(v c, v d)``.  The P root's words are
-totalled into the top row and the Q root's into the bottom row.  The
-reduced fold carries a coefficient 4-tuple ``(w, x, y, z)``.  A word's
-basis is fixed by its first and last letters (P..P, Q..Q, P..Q and Q..P
-give P, Q, R and S), and by the product table appending a letter
-multiplies the coefficient on the right by an entry that depends only on
-the basis's last letter.  So the reduced steps are the right products by
-a, b, c and d for (last, next) = PP, PQ, QP and QQ, read from
-``PRODUCT_RULES``, and each word's basis is read from its end letters when
-it is totalled.  Both spell each product out in the operation order of
-``Quaternion.__mul__`` and each sum in that of ``__add__``.
+after a Q.  Its other row is ``(h a, h b)`` after a last letter P and
+``(h c, h d)`` after a Q, where h is the half of the row before that P
+or Q read.  The next P reads the first half of that row and the next Q
+the second, so the fold carries h alone: after a P the next P steps it
+by a and the next Q by b, and after a Q by c and d.  Those are the
+reduced fold's four steps, but brute force reads its entries from
+``coin.flat``, not from the product table, so that the two oracles still
+test the table against each other.  A step is 16 products where a whole
+row took 32, and at a word's last letter h is expanded to the row
+(``_leaf_rows``), 32 products: at n = 14, l = 7 that is
+12866 * 16 + 3432 * 32 = 315680 products, where a fold of whole rows took
+12866 * 32 = 411712.  The P root's words are totalled into the top row
+and the Q root's into the bottom row.  Both oracles spell each product
+out in the operation order of ``Quaternion.__mul__`` and each sum in that
+of ``__add__``.
 
-The row fold leaves out the terms of ``QMatrix2.__matmul__`` that
+The half fold leaves out the terms of ``QMatrix2.__matmul__`` that
 multiply a zero entry, and the zero row of each word, which a matrix fold
-adds to its totals.  Every total still keeps the bits of the scalar
+adds to its totals, and it starts each word's row at ``ONE`` times the
+first letter's entries.  Every total still keeps the bits of the scalar
 operators:
 
 * each value left out is a finite float times a zero, or a sum of such
   products (the entries of a unitary coin are at most 1 in norm), so it
   is +0.0 or -0.0;
-* adding a signed zero to a nonzero float leaves it unchanged, so every
-  nonzero value of the fold keeps its bits, and a zero value can differ
-  only in its sign;
+* ``ONE e`` has the nonzero components of an entry e exactly, since
+  ``1.0 * x`` is x and every other term multiplies a zero, and a zero
+  component of it can differ from e's only in its sign;
+* a product with a zero is a zero, and adding a signed zero to a nonzero
+  float leaves it unchanged, so every nonzero value of the fold keeps its
+  bits, and a zero value can differ only in its sign;
 * each total starts at +0.0, and under round-to-nearest a sum that starts
   at +0.0 never becomes -0.0, so no sign of zero reaches a total.
 
@@ -140,41 +156,50 @@ class PQWord(_FrozenRecord):
         return self.letters()
 
 
+def _right_product(ew: float, ex: float, ey: float, ez: float):
+    """The fold step ``h -> h e`` for one entry ``e``, in the operation order of ``__mul__``."""
+    def right_multiply(h):
+        cw, cx, cy, cz = h
+        return (cw * ew - cx * ex - cy * ey - cz * ez,
+                cw * ex + cx * ew + cy * ez - cz * ey,
+                cw * ey - cx * ez + cy * ew + cz * ex,
+                cw * ez + cx * ey - cy * ex + cz * ew)
+    return right_multiply
+
+
 def _reduction_steps(coin: Coin) -> dict:
     """The reduced fold's steps, ``{last: (to P, to Q)}``: right products by the table's entries."""
-    def step(entry):
-        ew, ex, ey, ez = coin.entry(entry).components()
-
-        def right_multiply(coeff):
-            cw, cx, cy, cz = coeff
-            return (cw * ew - cx * ex - cy * ey - cz * ez,
-                    cw * ex + cx * ew + cy * ez - cz * ey,
-                    cw * ey - cx * ez + cy * ew + cz * ex,
-                    cw * ez + cx * ey - cy * ex + cz * ew)
-        return right_multiply
-    return {last: (step(PRODUCT_RULES[last, "P"][0]), step(PRODUCT_RULES[last, "Q"][0]))
-            for last in "PQ"}
+    def step(last, letter):
+        return _right_product(*coin.entry(PRODUCT_RULES[last, letter][0]).components())
+    return {last: (step(last, "P"), step(last, "Q")) for last in "PQ"}
 
 
-def _row_steps(coin: Coin) -> dict:
-    """The brute-force fold's steps, ``{last: (to P, to Q)}``: the same two whatever the last.
+def _half_steps(coin: Coin) -> dict:
+    """The brute-force fold's steps, ``{last: (to P, to Q)}``, read from ``coin.flat``.
 
-    ``(u, v) @ P = (u a, u b)`` and ``(u, v) @ Q = (v c, v d)``; the terms
-    with a zero entry of P or Q are left out.
+    After a P the next P reads the half ``h a`` and the next Q the half
+    ``h b``; after a Q they read ``h c`` and ``h d``.
     """
-    def step(reads_u, ew, ex, ey, ez, fw, fx, fy, fz):
-        def row_step(row):
-            if reads_u:
-                uw, ux, uy, uz, _, _, _, _ = row
-            else:
-                _, _, _, _, uw, ux, uy, uz = row
+    flat = coin.flat
+    return {"P": (_right_product(*flat[0:4]), _right_product(*flat[4:8])),
+            "Q": (_right_product(*flat[8:12]), _right_product(*flat[12:16]))}
+
+
+def _leaf_rows(coin: Coin) -> dict:
+    """A word's nonzero row from its last half, ``{last letter: h -> (h e1, h e2)}``.
+
+    ``(e1, e2)`` is the last letter's nonzero row, ``(a, b)`` for P and
+    ``(c, d)`` for Q.
+    """
+    def expand(ew, ex, ey, ez, fw, fx, fy, fz):
+        def leaf_row(half):
+            uw, ux, uy, uz = half
             return (uw * ew - ux * ex - uy * ey - uz * ez, uw * ex + ux * ew + uy * ez - uz * ey,
                     uw * ey - ux * ez + uy * ew + uz * ex, uw * ez + ux * ey - uy * ex + uz * ew,
                     uw * fw - ux * fx - uy * fy - uz * fz, uw * fx + ux * fw + uy * fz - uz * fy,
                     uw * fy - ux * fz + uy * fw + uz * fx, uw * fz + ux * fy - uy * fx + uz * fw)
-        return row_step
-    steps = (step(True, *coin.flat[0:8]), step(False, *coin.flat[8:16]))
-    return {"P": steps, "Q": steps}
+        return leaf_row
+    return {"P": expand(*coin.flat[0:8]), "Q": expand(*coin.flat[8:16])}
 
 
 _FLAT_ONE = ONE.components()
@@ -238,6 +263,14 @@ def _folds(first: str, root, after: dict, n: int, l: int):
         yield last, folded
 
 
+def _unit_walks(coin: Coin, n: int) -> list[FiniteSupportState]:
+    """The walks from the two unit spinors after n steps; walk j holds column j of every split."""
+    walks = [FiniteSupportState.delta(spinor) for spinor in ((ONE, ZERO), (ZERO, ONE))]
+    for _ in range(n):
+        walks = [state.evolve(coin) for state in walks]
+    return walks
+
+
 def path_sums(coin: Coin, n: int) -> list[QMatrix2]:
     """``Xi_n(l, n - l)`` for l = 0..n, by propagation, for any n >= 0.
 
@@ -245,41 +278,48 @@ def path_sums(coin: Coin, n: int) -> list[QMatrix2]:
     to site n - 2l, so one pair of walks gives every split.
     """
     _check_split(n, 0, n)
-    walks = [FiniteSupportState.delta(spinor) for spinor in ((ONE, ZERO), (ZERO, ONE))]
-    for _ in range(n):
-        walks = [state.evolve(coin) for state in walks]
+    walks = _unit_walks(coin, n)
     columns = [[state.amplitude(x) for x in range(n, -n - 1, -2)] for state in walks]
     return [QMatrix2(e11, e12, e21, e22) for (e11, e21), (e12, e22) in zip(*columns)]
 
 
 def path_sum(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
-    """Same sum as :func:`path_sum_bruteforce`, by propagation: split l of :func:`path_sums`."""
+    """Same sum as :func:`path_sum_bruteforce`, by propagation: split l of :func:`path_sums`.
+
+    Only the two amplitudes at site n - 2l are read.
+    """
     _check_split(n, l, m)
-    return path_sums(coin, n)[l]
+    (e11, e21), (e12, e22) = [state.amplitude(n - 2 * l) for state in _unit_walks(coin, n)]
+    return QMatrix2(e11, e12, e21, e22)
 
 
 def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     """Sum of all C(n, l) operator words, each multiplied out as matrices; n <= WORD_CAP.
 
-    Each word is folded as its nonzero row (see the module docstring).  The
-    words that start with P total the top row and the rest the bottom row.
+    Each word is folded as the half of its nonzero row that the next letter
+    reads, and expanded to that row at its last letter (see the module
+    docstring).  The words that start with P total the top row and the rest
+    the bottom row.
     """
     _check_split(n, l, m, WORD_CAP)
     if n == 0:
         return QMatrix2.identity()
-    flat, after = coin.flat, _row_steps(coin)
-    top, bottom = [0.0] * 8, [0.0] * 8
-    for first, root, total in (("P", flat[0:8], top), ("Q", flat[8:16], bottom)):
-        for _, (uw, ux, uy, uz, vw, vx, vy, vz) in _folds(first, root, after, n, l):
-            total[0] += uw
-            total[1] += ux
-            total[2] += uy
-            total[3] += uz
-            total[4] += vw
-            total[5] += vx
-            total[6] += vy
-            total[7] += vz
-    return _unflat(top + bottom)
+    after, leaf_row = _half_steps(coin), _leaf_rows(coin)
+    rows = []
+    for first in "PQ":
+        sw = sx = sy = sz = tw = tx = ty = tz = 0.0
+        for last, half in _folds(first, _FLAT_ONE, after, n, l):
+            uw, ux, uy, uz, vw, vx, vy, vz = leaf_row[last](half)
+            sw += uw
+            sx += ux
+            sy += uy
+            sz += uz
+            tw += vw
+            tx += vx
+            ty += vy
+            tz += vz
+        rows += (sw, sx, sy, sz, tw, tx, ty, tz)
+    return _unflat(rows)
 
 
 def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:

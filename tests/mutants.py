@@ -119,7 +119,7 @@ MUTANTS = [
      "return max_or_nan([abs(x - y) for x, y in zip(m, n)])",
      "return max([abs(x - y) for x, y in zip(m, n)])",
      ["tests/test_coin.py::test_flat_max_dev_is_nan_wherever_the_nan_sits"]),
-    ("pathsum.py",  # _reduction_steps: the real part summed as w - (x + y + z)
+    ("pathsum.py",  # _right_product, both oracles' step: the real part summed as w - (x + y + z)
      "return (cw * ew - cx * ex - cy * ey - cz * ez,",
      "return (cw * ew - (cx * ex + cy * ey + cz * ez),",
      ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
@@ -133,9 +133,13 @@ MUTANTS = [
      "if not any(map(any, sites)):",
      "if not any(_weights(sites)):",
      ["tests/test_walk.py::test_tiny_amplitudes_are_not_zero"]),
-    ("pathsum.py",  # _row_steps: the real part summed as w - (x + y + z)
+    ("pathsum.py",  # _leaf_rows: the real part summed as w - (x + y + z)
      "return (uw * ew - ux * ex - uy * ey - uz * ez,",
      "return (uw * ew - (ux * ex + uy * ey + uz * ez),",
+     ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
+    ("pathsum.py",  # _half_steps: brute force takes its after-Q entries from the P row
+     '"Q": (_right_product(*flat[8:12]), _right_product(*flat[12:16]))',
+     '"Q": (_right_product(*flat[0:4]), _right_product(*flat[4:8]))',
      ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
     ("pathsum.py",  # _folds: a forced Q tail after a P starts with the Q->Q step
      "folded = after[last][1](folded)",
@@ -146,8 +150,8 @@ MUTANTS = [
      "(l - 1, n - l - 1)",
      ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
     ("pathsum.py",  # path_sum_bruteforce: a row total started at -0.0 keeps it with no words
-     "top, bottom = [0.0] * 8, [0.0] * 8",
-     "top, bottom = [-0.0] * 8, [0.0] * 8",
+     "sw = sx = sy = sz = tw = tx = ty = tz = 0.0",
+     "sw = sx = sy = sz = tw = tx = ty = tz = -0.0",
      ["tests/test_cli.py::test_xi_oracles_are_bit_identical_to_word_by_word_folds[flip-0-brute]"]),
     ("coin.py",  # _lmul: the real part of q * a summed as w - (x + y + z)
      "return (qw * aw - qx * ax - qy * ay - qz * az,",

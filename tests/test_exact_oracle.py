@@ -16,6 +16,13 @@ measurements taken before these tests were written (Python 3.11.7):
   n eps was 0.19 at n = 20 and 0.11 at n = 200 on hadamard and
   example-ijk (4.9e-15 at n = 200), and at most 0.04 on twelve drawn
   rational coins at n = 100.  ``PATH_C`` is 0.25.
+- ``path_sum_bruteforce`` and ``path_sum_reduced``, ``c n eps`` on every
+  entry at n = 12.  They total up to C(12, 6) = 924 words a split, so
+  their error grows faster than n: over twelve drawn rational coins of
+  each kind the largest error over n eps was 0.17 at n = 8 and 0.82 at
+  n = 12, and 0.29 on hadamard at n = 12 (the reduced fold).  The
+  rational quaternion coin below reads 0.65 (brute force).
+  ``ORACLE_C`` is 1, for n = 12 only.
 
 A gap is taken against the exact value rounded to the nearest float.
 """
@@ -30,7 +37,17 @@ from random import Random
 
 import pytest
 
-from qqwalk import Coin, QMatrix2, Quaternion, distribution, distributions, path_sums, preset_coin
+from qqwalk import (
+    Coin,
+    QMatrix2,
+    Quaternion,
+    distribution,
+    distributions,
+    path_sum_bruteforce,
+    path_sum_reduced,
+    path_sums,
+    preset_coin,
+)
 from qqwalk.coin import PRESET_NAMES
 
 import exact_walk
@@ -39,6 +56,7 @@ from conftest import assert_dist_close
 EPS = sys.float_info.epsilon
 LAW_C = 2.0
 PATH_C = 0.25
+ORACLE_C = 1.0
 
 #: The presets as integer matrices M with M M* = K I; each is M/sqrt(K).
 PRESETS = {
@@ -165,21 +183,44 @@ def test_float_laws_match_the_exact_laws_on_rational_coins(kind):
     _assert_laws_within_bound(_float_coin(entries), entries, _integer_spinor(rng), 100)
 
 
-@pytest.mark.parametrize("name, n", [("hadamard", 200), ("quaternion", 100)])
-def test_path_sums_forward_error_against_the_exact_walk(name, n):
-    # column j of split l is the walk from the j-th unit spinor at site n - 2l,
-    # and the exact walk's amplitudes there are integers over sqrt(K)^n = K^(n/2)
+def _exact_and_float_coin(name: str):
+    """hadamard, or the rational quaternion coin of ``Random("path-sums")``: (entries, coin)."""
     if name == "hadamard":
-        entries, coin = PRESETS[name], preset_coin(name)
-    else:
-        entries = _rational_coin(Random("path-sums"), name)
-        coin = _float_coin(entries)
+        return PRESETS[name], preset_coin(name)
+    entries = _rational_coin(Random("path-sums"), name)
+    return entries, _float_coin(entries)
+
+
+def _worst_split_error(entries, n: int, xis) -> Fraction:
+    """The largest gap of any component of ``xis``, Xi_n(l, n - l) for l = 0..n, to the exact walk.
+
+    Column j of split l is the walk from the j-th unit spinor at site
+    n - 2l, and the exact walk's amplitudes there are integers over
+    sqrt(K)^n = K^(n/2), for an even n.
+    """
     den = exact_walk.coin_scale(entries) ** (n // 2)
     ups, downs = (deque(exact_walk.walk(entries, spinor, n), maxlen=1)[0] for spinor in (UP, DOWN))
     worst = Fraction(0)
-    for l, xi in enumerate(path_sums(coin, n)):
+    for l, xi in enumerate(xis):
         (e11, e21), (e12, e22) = ups[n - l], downs[n - l]
         for amp, exact in ((xi.e11, e11), (xi.e12, e12), (xi.e21, e21), (xi.e22, e22)):
             for value, numerator in zip(amp.components(), exact):
                 worst = max(worst, abs(Fraction(value) - Fraction(numerator, den)))
+    return worst
+
+
+@pytest.mark.parametrize("name, n", [("hadamard", 200), ("quaternion", 100)])
+def test_path_sums_forward_error_against_the_exact_walk(name, n):
+    entries, coin = _exact_and_float_coin(name)
+    worst = _worst_split_error(entries, n, path_sums(coin, n))
     assert worst <= PATH_C * n * EPS, float(worst)
+
+
+@pytest.mark.parametrize("oracle", [path_sum_bruteforce, path_sum_reduced],
+                         ids=["brute", "reduced"])
+@pytest.mark.parametrize("name", ["hadamard", "quaternion"])
+def test_word_oracles_forward_error_against_the_exact_walk(name, oracle):
+    n = 12
+    entries, coin = _exact_and_float_coin(name)
+    worst = _worst_split_error(entries, n, [oracle(coin, n, l, n - l) for l in range(n + 1)])
+    assert worst <= ORACLE_C * n * EPS, float(worst)

@@ -227,8 +227,28 @@ def _assert_folds_each_shared_prefix_once(monkeypatch, oracle, builder):
         assert steps == [("Q", "Q") if l == 0 else ("P", "P")] * 13
 
 
+def _counting_leaves(build, leaves):
+    """``build`` with every leaf expansion it returns recording its last letter in ``leaves``."""
+    def counting_build(coin):
+        def counting(last, expand):
+            def counting_expand(half):
+                leaves.append(last)
+                return expand(half)
+            return counting_expand
+        return {last: counting(last, expand) for last, expand in build(coin).items()}
+    return counting_build
+
+
 def test_bruteforce_folds_each_shared_prefix_once(monkeypatch):
-    _assert_folds_each_shared_prefix_once(monkeypatch, path_sum_bruteforce, "_row_steps")
+    # one 16-product half step per shared prefix and one 32-product row per
+    # word: 12866 * 16 + 3432 * 32 = 315680 products at n = 14, l = 7,
+    # where a fold of whole rows took 12866 * 32 = 411712
+    leaves = []
+    monkeypatch.setattr(pathsum, "_leaf_rows", _counting_leaves(pathsum._leaf_rows, leaves))
+    _assert_folds_each_shared_prefix_once(monkeypatch, path_sum_bruteforce, "_half_steps")
+    # the C(14, 7) words of l = 7, then the one word of l = 0 and of l = 14
+    assert len(leaves) == math.comb(14, 7) + 2 == 3434
+    assert leaves[-2:] == ["Q", "P"]
 
 
 def test_reduced_folds_each_shared_prefix_once(monkeypatch):
