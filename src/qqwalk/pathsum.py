@@ -27,6 +27,12 @@ rest of its one word is a forced tail, folded with no stack pushes.
 The folds run on flat floats, and quaternions are built once, from the
 totals.  Both carry one quaternion 4-tuple per prefix, and every step of
 either is a right product by one coin entry, built by ``_right_product``.
+Its code is generated from ``walk._HAMILTON``, the walk kernel's table of
+the Hamilton product's terms, one factory per zero pattern of the entry
+(a slice of ``coin.flat_zeros``), compiled on first use and kept in
+``_PRODUCTS``: a step leaves out the terms of its entry's zero floats.
+Every entry of ``hadamard`` and ``example-ijk`` has one nonzero float, so
+their steps take 4 products, where a dense entry's take 16.
 The reduced fold carries a coefficient.  A word's basis is fixed by its
 first and last letters (P..P, Q..Q, P..Q and Q..P give P, Q, R and S),
 and by the product table appending a letter multiplies the coefficient
@@ -45,11 +51,13 @@ the second, so the fold carries h alone: after a P the next P steps it
 by a and the next Q by b, and after a Q by c and d.  Those are the
 reduced fold's four steps, but brute force reads its entries from
 ``coin.flat``, not from the product table, so that the two oracles still
-test the table against each other.  A step is 16 products where a whole
-row took 32, and at a word's last letter h is expanded to the row
-(``_leaf_rows``), 32 products: at n = 14, l = 7 that is
-12866 * 16 + 3432 * 32 = 315680 products, where a fold of whole rows took
-12866 * 32 = 411712.  The P root's words are totalled into the top row
+test the table against each other.  A dense step is 16 products where a
+whole row took 32, and at a word's last letter h is expanded to the row
+(``_leaf_rows``, one generated product by the two entries), 32 products:
+at n = 14, l = 7 that is 12866 * 16 + 3432 * 32 = 315680 products, where
+a fold of whole rows took 12866 * 32 = 411712.  On ``example-ijk`` the
+steps take 4 products and the leaves 8, 12866 * 4 + 3432 * 8 = 78920 in
+all.  The P root's words are totalled into the top row
 and the Q root's into the bottom row.  Both oracles spell each product
 out in the operation order of ``Quaternion.__mul__`` and each sum in that
 of ``__add__``.
@@ -57,8 +65,10 @@ of ``__add__``.
 The half fold leaves out the terms of ``QMatrix2.__matmul__`` that
 multiply a zero entry, and the zero row of each word, which a matrix fold
 adds to its totals, and it starts each word's row at ``ONE`` times the
-first letter's entries.  Every total still keeps the bits of the scalar
-operators:
+first letter's entries.  Both folds' steps leave out the terms of the
+zero floats of their entries, and need no -0.0 fallback, unlike the walk
+kernel: no total takes its sign of zero from them.  Every total still
+keeps the bits of the scalar operators:
 
 * each value left out is a finite float times a zero, or a sum of such
   products (the entries of a unitary coin are at most 1 in norm), so it
@@ -73,6 +83,9 @@ operators:
   at +0.0 never becomes -0.0, so no sign of zero reaches a total.
 
 The word-by-word tests in ``tests/test_pathsum.py`` pin that equality.
+``reduce_word`` returns one word's coefficient, which no total absorbs, so
+it steps densely, with every term, and keeps the bits of the scalar
+product chain, signs of zero included.
 ``decompose_pqrs`` and ``PQRSDecomposition.reconstruct`` run on the flat
 2x2 kernel of ``coin`` (``_matmul``, ``_lmul``) and build ``QMatrix2``
 and ``Quaternion`` objects only for what they return.
@@ -94,7 +107,7 @@ from .coin import (
     _unflat,
 )
 from .quaternion import ONE, ZERO, Quaternion, _FrozenRecord, _set_field
-from .walk import FiniteSupportState
+from .walk import _HAMILTON, FiniteSupportState, _signed_sum
 
 #: Largest step count enumerated exhaustively (2^n words).
 WORD_CAP = 20
@@ -156,21 +169,54 @@ class PQWord(_FrozenRecord):
         return self.letters()
 
 
-def _right_product(ew: float, ex: float, ey: float, ez: float):
-    """The fold step ``h -> h e`` for one entry ``e``, in the operation order of ``__mul__``."""
+#: Right-product factories by the zero pattern of the entries they were generated for.
+_PRODUCTS: dict = {}
+
+_DENSE_ENTRY = bytes(4)  # the zero pattern of an entry with no zero float
+
+# The factory's source, less its parameters and components.  The source is
+# built from these fixed names and a zero pattern alone, never from input.
+_PRODUCT = """def product({entries}):
     def right_multiply(h):
-        cw, cx, cy, cz = h
-        return (cw * ew - cx * ex - cy * ey - cz * ez,
-                cw * ex + cx * ew + cy * ez - cz * ey,
-                cw * ey - cx * ez + cy * ew + cz * ex,
-                cw * ez + cx * ey - cy * ex + cz * ew)
+        hw, hx, hy, hz = h
+        return ({components})
     return right_multiply
+"""
 
 
-def _reduction_steps(coin: Coin) -> dict:
-    """The reduced fold's steps, ``{last: (to P, to Q)}``: right products by the table's entries."""
+def _product(zeros: bytes):
+    """The factory ``product(*entries)`` of one zero pattern, generated and compiled on first use.
+
+    ``product`` takes one or two entries, 4 floats each, and returns the
+    step ``h -> h e`` or ``h -> (h e, h f)``.  Each component keeps the
+    terms of ``_HAMILTON`` by a nonzero entry float, in the operation order
+    of ``Quaternion.__mul__``, and is the literal 0.0 when it keeps none.
+    """
+    names = [f"{'ef'[k // 4]}{'wxyz'[k % 4]}" for k in range(len(zeros))]
+    components = [_signed_sum([(sign, f"h{'wxyz'[i]} * {names[base + j]}")
+                               for sign, i, j in terms if not zeros[base + j]]) or "0.0"
+                  for base in range(0, len(zeros), 4) for terms in _HAMILTON]
+    namespace: dict = {}
+    exec(_PRODUCT.format(entries=", ".join(names), components=", ".join(components)), namespace)
+    product = _PRODUCTS[zeros] = namespace["product"]
+    return product
+
+
+def _right_product(entries, zeros: bytes):
+    """The fold step ``h -> h e``, or ``h -> (h e, h f)`` for 8 floats, less the terms of ``zeros``."""
+    return (_PRODUCTS.get(zeros) or _product(zeros))(*entries)
+
+
+def _reduction_steps(coin: Coin, dense: bool = False) -> dict:
+    """The reduced fold's steps, ``{last: (to P, to Q)}``: right products by the table's entries.
+
+    Each step leaves out the terms of its entry's zero floats, unless ``dense``.
+    """
+    flat, zeros = coin.flat, coin.flat_zeros
+
     def step(last, letter):
-        return _right_product(*coin.entry(PRODUCT_RULES[last, letter][0]).components())
+        i = 4 * "abcd".index(PRODUCT_RULES[last, letter][0])
+        return _right_product(flat[i:i + 4], _DENSE_ENTRY if dense else zeros[i:i + 4])
     return {last: (step(last, "P"), step(last, "Q")) for last in "PQ"}
 
 
@@ -180,9 +226,10 @@ def _half_steps(coin: Coin) -> dict:
     After a P the next P reads the half ``h a`` and the next Q the half
     ``h b``; after a Q they read ``h c`` and ``h d``.
     """
-    flat = coin.flat
-    return {"P": (_right_product(*flat[0:4]), _right_product(*flat[4:8])),
-            "Q": (_right_product(*flat[8:12]), _right_product(*flat[12:16]))}
+    flat, zeros = coin.flat, coin.flat_zeros
+    return {"P": (_right_product(flat[0:4], zeros[0:4]), _right_product(flat[4:8], zeros[4:8])),
+            "Q": (_right_product(flat[8:12], zeros[8:12]),
+                  _right_product(flat[12:16], zeros[12:16]))}
 
 
 def _leaf_rows(coin: Coin) -> dict:
@@ -191,15 +238,9 @@ def _leaf_rows(coin: Coin) -> dict:
     ``(e1, e2)`` is the last letter's nonzero row, ``(a, b)`` for P and
     ``(c, d)`` for Q.
     """
-    def expand(ew, ex, ey, ez, fw, fx, fy, fz):
-        def leaf_row(half):
-            uw, ux, uy, uz = half
-            return (uw * ew - ux * ex - uy * ey - uz * ez, uw * ex + ux * ew + uy * ez - uz * ey,
-                    uw * ey - ux * ez + uy * ew + uz * ex, uw * ez + ux * ey - uy * ex + uz * ew,
-                    uw * fw - ux * fx - uy * fy - uz * fz, uw * fx + ux * fw + uy * fz - uz * fy,
-                    uw * fy - ux * fz + uy * fw + uz * fx, uw * fz + ux * fy - uy * fx + uz * fw)
-        return leaf_row
-    return {"P": expand(*coin.flat[0:8]), "Q": expand(*coin.flat[8:16])}
+    flat, zeros = coin.flat, coin.flat_zeros
+    return {"P": _right_product(flat[0:8], zeros[0:8]),
+            "Q": _right_product(flat[8:16], zeros[8:16])}
 
 
 _FLAT_ONE = ONE.components()
@@ -215,7 +256,7 @@ def reduce_word(coin: Coin, word: PQWord) -> tuple[Quaternion, str]:
     ``P^u Q^v P^w -> a^(u-1) b d^(v-1) c a^(w-1) P``.
     """
     letters = word.letters()
-    after = _reduction_steps(coin)
+    after = _reduction_steps(coin, dense=True)
     coeff = _FLAT_ONE
     for last, letter in zip(letters, letters[1:]):
         coeff = after[last][letter == "Q"](coeff)
@@ -229,11 +270,11 @@ def _check_split(n: int, l: int, m: int, cap: float = math.inf) -> None:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
 
 
-def _folds(first: str, root, after: dict, n: int, l: int):
+def _folds(first: str, after: dict, n: int, l: int):
     """Left fold of every word that starts with ``first`` and has l P's among
     n letters, in the order of ``itertools.combinations`` over the P positions.
 
-    Yields ``(last letter, fold)`` per word, the fold starting at ``root``
+    Yields ``(last letter, fold)`` per word, the fold starting at ``ONE``
     (the fold of ``first`` alone) and taking ``after[last][next == "Q"]``
     for each further letter; nothing if the split has no ``first`` letter.
     The word tree is walked depth first, P before Q, so each prefix is
@@ -247,7 +288,7 @@ def _folds(first: str, root, after: dict, n: int, l: int):
         return
     q_to_q = after["Q"][1]
     # (fold of a prefix, its last letter, P's left after it, Q's left after it)
-    stack = [(root, first, p_left, q_left)]
+    stack = [(_FLAT_ONE, first, p_left, q_left)]
     while stack:
         folded, last, p_left, q_left = stack.pop()
         while p_left:  # P next; the Q branch waits on the stack while Q's are left
@@ -308,7 +349,7 @@ def path_sum_bruteforce(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     rows = []
     for first in "PQ":
         sw = sx = sy = sz = tw = tx = ty = tz = 0.0
-        for last, half in _folds(first, _FLAT_ONE, after, n, l):
+        for last, half in _folds(first, after, n, l):
             uw, ux, uy, uz, vw, vx, vy, vz = leaf_row[last](half)
             sw += uw
             sx += ux
@@ -336,7 +377,7 @@ def path_sum_reduced(coin: Coin, n: int, l: int, m: int) -> QMatrix2:
     for first in "PQ":
         # a word's basis starts and ends as the word does
         by_last = {last: sums[PRODUCT_RULES[(first, last)][1]] for last in "PQ"}
-        for last, (cw, cx, cy, cz) in _folds(first, _FLAT_ONE, after, n, l):
+        for last, (cw, cx, cy, cz) in _folds(first, after, n, l):
             total = by_last[last]
             total[0] += cw
             total[1] += cx

@@ -124,6 +124,14 @@ _KERNEL = """def kernel(flat, chain):
 """
 
 
+def _signed_sum(terms) -> str:
+    """The text of the sum of ``(sign, term)`` pairs, in order; empty for no terms."""
+    if not terms:
+        return ""
+    (sign, first), rest = terms[0], terms[1:]
+    return ("-" if sign == "-" else "") + first + "".join([f" {sign} {term}" for sign, term in rest])
+
+
 def _row_sum(row: str, k: int, zeros: bytes) -> str:
     """Component k of ``row[0] psiL + row[1] psiR``, less the terms of zero coin floats.
 
@@ -134,12 +142,10 @@ def _row_sum(row: str, k: int, zeros: bytes) -> str:
     groups = []
     for entry, half in zip(row, "lr"):
         base = 4 * "abcd".index(entry)
-        terms = [(sign, f"{entry}{'wxyz'[i]} * {half}{'wxyz'[j]}")
-                 for sign, i, j in _HAMILTON[k] if not zeros[base + i]]
-        if terms:
-            (sign, first), rest = terms[0], terms[1:]
-            groups.append(("-" if sign == "-" else "") + first
-                          + "".join([f" {sign} {term}" for sign, term in rest]))
+        group = _signed_sum([(sign, f"{entry}{'wxyz'[i]} * {half}{'wxyz'[j]}")
+                             for sign, i, j in _HAMILTON[k] if not zeros[base + i]])
+        if group:
+            groups.append(group)
     return " + ".join([f"({group})" for group in groups])
 
 

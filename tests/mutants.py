@@ -3,12 +3,15 @@
 Each row names a file under ``src/qqwalk``, an exact piece of its text, a
 replacement, and the tests that must fail once the replacement is made.
 For each row the script copies ``src/`` to a temporary directory, applies
-the edit there, and runs those tests with ``PYTHONPATH`` on the copy; the
-working tree is never edited.  Up to four rows run at a time, each on its
-own copy, in a pytest process that loads no installed plugin but
-hypothesis's.  First it runs every named test on an unedited copy, which must
-pass, and it checks that ``qqwalk`` is imported from the copy, not from an
-installed package.
+the edit there, and runs those tests on the copy; the working tree is
+never edited.  The script imports pytest, hypothesis and numpy once, then
+forks one child per row, up to four at a time.  Each child puts its copy
+first on ``sys.path`` and on ``PYTHONPATH`` (for the processes the tests
+start) and runs pytest in process, with no installed plugin but
+hypothesis's.  Nothing of ``qqwalk`` or ``tests`` is imported before the
+fork, so every child imports the package from its own copy.  First it runs
+every named test on an unedited copy, which must pass and must import
+``qqwalk`` from the copy, not from an installed package.
 
 A row whose old text does not occur exactly once fails the script, so a
 refactor that moves a mutated line must update its row.  A mutant
@@ -26,20 +29,28 @@ from __future__ import annotations
 import os
 import re
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from pathlib import Path
+
+# imported once, before any fork: each child starts with them loaded
+import numpy  # noqa: F401
+import pytest
+from hypothesis import Phase, settings
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# A pytest plugin, written next to each copy, with a hypothesis profile that
-# does not shrink: a killed mutant needs one failing example, not the least.
-PLUGIN = """from hypothesis import Phase, settings
-settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate))
-"""
+# A hypothesis profile that does not shrink (a killed mutant needs one
+# failing example, not the least) and keeps no example database.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate), database=None)
+
+# numpy's OpenBLAS may hold a thread; its fork handler stops it in the child
+warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+
+#: Exit code of a child whose ``qqwalk`` came from elsewhere than its copy.
+NOT_THE_COPY = 3
 
 #: The source check of the rule that every tuple is built at its final size.
 TUPLE_RULE = "tests/test_package.py::test_no_tuple_is_built_from_an_iterator"
@@ -119,10 +130,20 @@ MUTANTS = [
      "return max_or_nan([abs(x - y) for x, y in zip(m, n)])",
      "return max([abs(x - y) for x, y in zip(m, n)])",
      ["tests/test_coin.py::test_flat_max_dev_is_nan_wherever_the_nan_sits"]),
-    ("pathsum.py",  # _right_product, both oracles' step: the real part summed as w - (x + y + z)
-     "return (cw * ew - cx * ex - cy * ey - cz * ez,",
-     "return (cw * ew - (cx * ex + cy * ey + cz * ez),",
-     ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
+    ("pathsum.py",  # _product, both oracles' steps: a dense step for every zero pattern
+     "for sign, i, j in terms if not zeros[base + j]]",
+     "for sign, i, j in terms]",
+     ["tests/test_pathsum.py::test_steps_leave_out_the_products_of_zero_entry_floats[example-ijk]"]),
+    ("pathsum.py",  # _product: each component's last term dropped, though its float may be nonzero
+     "for sign, i, j in terms if not zeros[base + j]]",
+     "for sign, i, j in terms[:-1] if not zeros[base + j]]",
+     ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds",
+      "tests/test_pathsum.py::test_steps_leave_out_the_products_of_zero_entry_floats[quaternion]"]),
+    ("walk.py",  # _signed_sum, walk kernels and fold steps: a sum that opens with a minus term
+     'return ("-" if sign == "-" else "") + first',
+     "return first",
+     ["tests/test_walk.py::test_coin_rows_are_bit_identical_to_the_scalar_product",
+      "tests/test_cli.py::test_xi_oracles_are_bit_identical_to_word_by_word_folds[example-ijk-6-brute]"]),
     ("coin.py",  # _flat: a tuple sized by resizing, outside the tuple free list
      "return (matrix.e11.components() + matrix.e12.components()\n"
      "            + matrix.e21.components() + matrix.e22.components())",
@@ -133,13 +154,27 @@ MUTANTS = [
      "if not any(map(any, sites)):",
      "if not any(_weights(sites)):",
      ["tests/test_walk.py::test_tiny_amplitudes_are_not_zero"]),
-    ("pathsum.py",  # _leaf_rows: the real part summed as w - (x + y + z)
-     "return (uw * ew - ux * ex - uy * ey - uz * ez,",
-     "return (uw * ew - (ux * ex + uy * ey + uz * ez),",
-     ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
+    ("pathsum.py",  # _half_steps: the P-to-Q step read with the zero pattern of a, not b
+     "_right_product(flat[4:8], zeros[4:8])",
+     "_right_product(flat[4:8], zeros[0:4])",
+     ["tests/test_cli.py::test_xi_oracles_are_bit_identical_to_word_by_word_folds[example-ijk-6-brute]"]),
+    ("pathsum.py",  # _leaf_rows: the Q leaf read with the zero pattern of the P row
+     '"Q": _right_product(flat[8:16], zeros[8:16])',
+     '"Q": _right_product(flat[8:16], zeros[0:8])',
+     ["tests/test_cli.py::test_xi_oracles_are_bit_identical_to_word_by_word_folds[example-ijk-6-brute]"]),
+    ("pathsum.py",  # _reduction_steps: every step read with the zero pattern of a
+     "_DENSE_ENTRY if dense else zeros[i:i + 4])",
+     "_DENSE_ENTRY if dense else zeros[0:4])",
+     ["tests/test_cli.py::test_xi_oracles_are_bit_identical_to_word_by_word_folds[example-ijk-6-reduced]"]),
+    ("pathsum.py",  # reduce_word: sparse steps, which can flip the sign of a zero component
+     "after = _reduction_steps(coin, dense=True)",
+     "after = _reduction_steps(coin)",
+     ["tests/test_pathsum.py::test_reduce_word_keeps_the_bits_of_the_scalar_product_chain"]),
     ("pathsum.py",  # _half_steps: brute force takes its after-Q entries from the P row
-     '"Q": (_right_product(*flat[8:12]), _right_product(*flat[12:16]))',
-     '"Q": (_right_product(*flat[0:4]), _right_product(*flat[4:8]))',
+     '"Q": (_right_product(flat[8:12], zeros[8:12]),\n'
+     "                  _right_product(flat[12:16], zeros[12:16]))}",
+     '"Q": (_right_product(flat[0:4], zeros[0:4]),\n'
+     "                  _right_product(flat[4:8], zeros[4:8]))}",
      ["tests/test_pathsum.py::test_oracles_are_bit_identical_to_word_by_word_folds"]),
     ("pathsum.py",  # _folds: a forced Q tail after a P starts with the Q->Q step
      "folded = after[last][1](folded)",
@@ -302,47 +337,63 @@ MUTANTS = [
 def _copy_src(dest: Path) -> Path:
     shutil.copytree(ROOT / "src", dest / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    (dest / "mutants_profile.py").write_text(PLUGIN, encoding="utf-8")
     return dest / "src"
 
 
-def _env(src: Path) -> dict:
-    path = os.pathsep.join([str(src), str(src.parent)])  # the copy, then the plugin
-    # no installed plugin is loaded unless ``_pytest`` names it: a row's process
-    # starts in a fraction of the time
-    return {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1",
-            "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
+def _fork_pytest(src: Path, node_ids: list[str], log: Path) -> int:
+    """Pid of a child that runs pytest on ``node_ids``, importing the copy at ``src``.
 
-
-def _check_import(src: Path, cwd: Path) -> None:
-    where = subprocess.run([sys.executable, "-c", "import qqwalk; print(qqwalk.__file__)"],
-                           env=_env(src), cwd=cwd, capture_output=True, text=True, check=True)
-    if not Path(where.stdout.strip()).resolve().is_relative_to(src.resolve()):
-        sys.exit(f"qqwalk is imported from {where.stdout.strip()}, not from the copy {src}")
-
-
-def _pytest(src: Path, cwd: Path, node_ids: list[str]) -> tuple[int, str]:
-    """Exit code and output of pytest on ``node_ids``, importing the copy at ``src``.
-
-    The run starts in ``cwd``, a temporary directory, so hypothesis keeps
-    its example database there and not in the checkout.
+    The child writes its output to ``log`` and starts in the directory
+    that holds it, and exits with pytest's code, or ``NOT_THE_COPY``.
     """
-    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "-p", "hypothesis.extra.pytestplugin", "-p", "mutants_profile",
-            "--hypothesis-profile=mutants", "--hypothesis-seed=0",
-            *(str(ROOT / node) for node in node_ids)]
-    run = subprocess.run(argv, env=_env(src), cwd=cwd, capture_output=True, text=True)
-    return run.returncode, run.stdout + run.stderr
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        os.chdir(log.parent)
+        out = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        os.dup2(out, 1)
+        os.dup2(out, 2)
+        sys.path.insert(0, str(src))
+        os.environ["PYTHONPATH"] = str(src)
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "-p", "hypothesis.extra.pytestplugin",
+                            "--hypothesis-profile=mutants", "--hypothesis-seed=0",
+                            *(str(ROOT / node) for node in node_ids)])
+        imported = sys.modules.get("qqwalk")
+        if imported is not None and not Path(imported.__file__).resolve().is_relative_to(src):
+            print(f"qqwalk is imported from {imported.__file__}, not from the copy {src}")
+            code = NOT_THE_COPY
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
 
 
-def _run_mutant(row) -> tuple[int, str]:
-    """Exit code and output of the row's tests on a copy of ``src/`` with its edit."""
-    file, old, new, node_ids = row
-    with tempfile.TemporaryDirectory() as tmp:
-        src = _copy_src(Path(tmp) / "mutant")
+def _exit_code(pid: int) -> int:
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _run_mutants(tmp: Path) -> list[tuple[int, str]]:
+    """Exit code and output of each row's tests, each on a copy of ``src/`` with its edit."""
+    workers = min(4, os.cpu_count() or 1)
+    running: dict[int, int] = {}  # pid -> row
+    codes: dict[int, int] = {}
+    logs = []
+    for index, (file, old, new, node_ids) in enumerate(MUTANTS):
+        if len(running) == workers:
+            pid, status = os.wait()
+            codes[running.pop(pid)] = os.waitstatus_to_exitcode(status)
+        src = _copy_src(tmp / str(index))
         path = src / "qqwalk" / file
         path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        return _pytest(src, Path(tmp), node_ids)
+        logs.append(tmp / str(index) / "pytest.log")
+        running[_fork_pytest(src, node_ids, logs[-1])] = index
+    for pid, index in running.items():
+        codes[index] = _exit_code(pid)
+    return [(codes[index], log.read_text(encoding="utf-8")) for index, log in enumerate(logs)]
 
 
 def main() -> int:
@@ -351,18 +402,24 @@ def main() -> int:
         count = (ROOT / "src" / "qqwalk" / file).read_text(encoding="utf-8").count(old)
         if count != 1:
             sys.exit(f"mutant text occurs {count} times in {file}, not once: {old!r}")
+    loaded = [name for name in sys.modules
+              if name.split(".")[0] in ("qqwalk", "tests", "conftest")]
+    if loaded:
+        sys.exit(f"imported before the fork: {loaded}")
 
+    sys.dont_write_bytecode = True
+    os.environ.update(PYTHONDONTWRITEBYTECODE="1", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     with tempfile.TemporaryDirectory() as tmp:
-        src = _copy_src(Path(tmp) / "unedited")
-        _check_import(src, Path(tmp))
+        tmp = Path(tmp).resolve()
+        src = _copy_src(tmp / "unedited")
         node_ids = sorted({node for *_, nodes in MUTANTS for node in nodes})
-        code, output = _pytest(src, Path(tmp), node_ids)
+        log = tmp / "unedited" / "pytest.log"
+        code = _exit_code(_fork_pytest(src, node_ids, log))
         if code != 0:
-            print(output)
+            print(log.read_text(encoding="utf-8"))
             sys.exit("the mutants' tests do not pass on the unedited copy")
+        results = _run_mutants(tmp)
 
-    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        results = list(pool.map(_run_mutant, MUTANTS))
     survivors = 0
     for index, ((file, _, new, _), (code, output)) in enumerate(zip(MUTANTS, results)):
         summary = output.strip().splitlines()[-1] if output.strip() else ""

@@ -184,11 +184,29 @@ def _hexes(matrix):
 _NEG_ZERO_HADAMARD = Coin(QMatrix2(*(Quaternion(sign * SQRT_HALF, -0.0, -0.0, -0.0)
                                      for sign in (1, 1, 1, -1))))
 
+
+
+def _cycled(coin, shift):
+    """``coin`` with the (x, y, z) components of its entries shifted ``shift`` places along.
+
+    i -> j -> k -> i is an automorphism of H, so the coin stays unitary: a
+    complex coin's entries move from the i-plane to the j- or k-plane, and
+    its steps to other zero patterns.
+    """
+    entries = []
+    for entry in (coin.a, coin.b, coin.c, coin.d):
+        w, *xyz = entry.components()
+        entries.append(Quaternion(w, *xyz[-shift:], *xyz[:-shift]))
+    return Coin(QMatrix2(*entries))
+
+
 _coins = st.one_of(
     st.sampled_from(PRESET_NAMES).map(preset_coin),
     st.just(_NEG_ZERO_HADAMARD),
     st.builds(lambda seed, entries: random_unitary_coin(Random(seed), entries),
-              st.integers(0, 2 ** 32), st.sampled_from(("real", "complex", "quaternion"))))
+              st.integers(0, 2 ** 32), st.sampled_from(("real", "complex", "quaternion"))),
+    st.builds(lambda seed, shift: _cycled(random_unitary_coin(Random(seed), "complex"), shift),
+              st.integers(0, 2 ** 32), st.sampled_from((1, 2))))
 
 
 @settings(deadline=None)
@@ -198,6 +216,68 @@ def test_oracles_are_bit_identical_to_word_by_word_folds(coin, n, data):
     brute, reduced = _word_by_word(coin, n, l)
     assert _hexes(path_sum_bruteforce(coin, n, l, n - l)) == _hexes(brute)
     assert _hexes(path_sum_reduced(coin, n, l, n - l)) == _hexes(reduced)
+
+
+def test_cycled_coins_move_a_complex_coin_to_the_j_and_k_planes():
+    coin = random_unitary_coin(Random(43), "complex")
+    assert coin.flat_zeros == bytes([0, 0, 1, 1] * 4)
+    assert _cycled(coin, 1).flat_zeros == bytes([0, 1, 0, 1] * 4)
+    assert _cycled(coin, 2).flat_zeros == bytes([0, 1, 1, 0] * 4)
+    assert _cycled(coin, 1).a == Quaternion(coin.a.w, 0.0, coin.a.x, 0.0)
+
+
+def test_reduce_word_keeps_the_bits_of_the_scalar_product_chain():
+    # a sparse step could flip a zero's sign, and no total absorbs it here
+    for coin in map(preset_coin, PRESET_NAMES):
+        for n in range(1, 9):
+            for letters in itertools.product("PQ", repeat=n):
+                coeff, basis = Quaternion(1.0), letters[0]
+                for letter in letters[1:]:
+                    entry_name, basis = PRODUCT_RULES[(basis, letter)]
+                    coeff = coeff * coin.entry(entry_name)
+                reduced = reduce_word(coin, PQWord.from_letters(letters))
+                assert [v.hex() for v in reduced[0].components()] == \
+                    [v.hex() for v in coeff.components()]
+                assert reduced[1] == basis
+
+
+class _CountingFloat(float):
+    """A float that counts the products it, or its negation, is the left factor of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountingFloat.products += 1
+        return float(self) * other
+
+    def __neg__(self):  # a step may open a component with ``-hx * ex``
+        return _CountingFloat(-float(self))
+
+
+def _products(step):
+    """Products that one call of ``step`` takes on a half with no zero component."""
+    _CountingFloat.products = 0
+    step(tuple(map(_CountingFloat, (0.5, -0.25, 0.125, 0.75))))
+    return _CountingFloat.products
+
+
+@pytest.mark.parametrize("coin, step_products, leaf_products", [
+    # one nonzero float an entry: 12866 * 4 + 3432 * 8 = 78920 products at
+    # n = 14, l = 7, where dense steps take 315680
+    (preset_coin("example-ijk"), 4, 8),
+    (preset_coin("hadamard"), 4, 8),
+    (random_unitary_coin(Random(44), "complex"), 8, 16),
+    (random_unitary_coin(Random(45)), 16, 32),
+], ids=["example-ijk", "hadamard", "complex", "quaternion"])
+def test_steps_leave_out_the_products_of_zero_entry_floats(coin, step_products, leaf_products):
+    for steps in (pathsum._half_steps(coin), pathsum._reduction_steps(coin)):
+        for to_p, to_q in steps.values():
+            assert _products(to_p) == _products(to_q) == step_products
+    for leaf_row in pathsum._leaf_rows(coin).values():
+        assert _products(leaf_row) == leaf_products
+    # reduce_word steps densely whatever the coin
+    for to_p, to_q in pathsum._reduction_steps(coin, dense=True).values():
+        assert _products(to_p) == _products(to_q) == 16
 
 
 def _counting(build, steps):
@@ -240,9 +320,9 @@ def _counting_leaves(build, leaves):
 
 
 def test_bruteforce_folds_each_shared_prefix_once(monkeypatch):
-    # one 16-product half step per shared prefix and one 32-product row per
-    # word: 12866 * 16 + 3432 * 32 = 315680 products at n = 14, l = 7,
-    # where a fold of whole rows took 12866 * 32 = 411712
+    # one half step per shared prefix and one row per word: with a dense
+    # coin's 16 and 32 products, 12866 * 16 + 3432 * 32 = 315680 products at
+    # n = 14, l = 7, where a fold of whole rows took 12866 * 32 = 411712
     leaves = []
     monkeypatch.setattr(pathsum, "_leaf_rows", _counting_leaves(pathsum._leaf_rows, leaves))
     _assert_folds_each_shared_prefix_once(monkeypatch, path_sum_bruteforce, "_half_steps")
